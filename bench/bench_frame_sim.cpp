@@ -19,7 +19,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "sys/address_map.hpp"
@@ -74,28 +73,6 @@ void bm_frame_sim_small(benchmark::State& state) {
 }
 BENCHMARK(bm_frame_sim_small)->Unit(benchmark::kMillisecond);
 
-/// The small frame at an explicit event-lane count — the scaling row for
-/// the parallel evaluate phase (DESIGN.md §13). lanes=1 is the sequential
-/// kernel path; on a single-core host the extra lanes measure pure
-/// coordination overhead (the honest number recorded in BENCH_kernel.json),
-/// while on multi-core runners wide deltas spread across the pool.
-void bm_frame_sim_lanes(benchmark::State& state) {
-    SystemConfig cfg;  // 64x48, the invariance geometry
-    cfg.lanes = static_cast<unsigned>(state.range(0));
-    for (auto _ : state) {
-        Testbench tb(cfg);
-        const RunResult r = tb.run(1);
-        if (!r.clean()) state.SkipWithError("frame run was not clean");
-        benchmark::DoNotOptimize(r.stats.delta_cycles);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(bm_frame_sim_lanes)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 void report(const char* name, rtlsim::Time sim, std::chrono::nanoseconds wall) {
     const double sim_ms = rtlsim::to_ms(sim);
     const double wall_s = static_cast<double>(wall.count()) / 1e9;
@@ -125,12 +102,10 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
             cfg.trace_events = true;
             cfg.trace_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-            cfg.lanes = static_cast<unsigned>(std::atoi(argv[++i]));
         } else {
             std::fprintf(stderr,
                          "usage: %s [--trace] [--trace-out FILE.json]"
-                         " [--lanes N] | --benchmark_*\n",
+                         " | --benchmark_*\n",
                          argv[0]);
             return 2;
         }

@@ -1,18 +1,17 @@
-// E15 — ISS execution rate: interpreter vs basic-block decode cache.
+// E15 — ISS execution rate: per-cycle interpreter vs sleep windows.
 //
-// Measures instructions per host second for the three CPU execution modes
+// Measures instructions per host second for the two CPU execution modes
 // on a bus-free compute kernel (the workload shape where the ISS hot path
 // dominates — every data access would serialize on the cycle-accurate PLB
-// in all three modes and mask the decode-path difference):
-//   * bm_iss_interp        — the retained reference interpreter
-//                            (fetch + decode + execute every posedge);
-//   * bm_iss_cached_cold   — the decode-cache engine, fresh cache every
-//                            iteration (decode cost included);
-//   * bm_iss_cached_warm   — the decode-cache engine with sleep windows
-//                            enabled: long bus-free stretches execute as
-//                            batched micro-op runs under a parked clock.
-// The tentpole acceptance bar is warm >= 3x interp in insns/sec; CI gates
-// the committed baseline rows through tools/bench_report.py.
+// in both modes and mask the decode-path difference):
+//   * bm_iss_interp — the per-cycle interpreter (fetch + decode + execute
+//                     every posedge);
+//   * bm_iss_sleep  — the same CPU with sleep windows enabled: long
+//                     bus-free stretches execute as batched micro-op runs
+//                     out of the decode cache under a parked clock (fresh
+//                     cache every iteration, so decode cost is included).
+// The acceptance bar is sleep >= 3x interp in insns/sec; CI gates the
+// committed baseline rows through tools/bench_report.py.
 #include <benchmark/benchmark.h>
 
 #include "bus/dcr.hpp"
@@ -33,7 +32,7 @@ constexpr rtlsim::Time kClk = 10 * NS;
 
 /// ~850k dynamic instructions of register-only compute: a doubly nested
 /// loop over adds, shifts, rotates and compares. No loads/stores inside the
-/// loop, so the warm engine can open full-length sleep windows. Long enough
+/// loop, so the sleep-enabled CPU can open full-length sleep windows. Long enough
 /// that execution dominates testbench elaboration (the 8 MiB four-state
 /// memory image alone costs milliseconds to construct in a debug build).
 const char* kWorkload = R"(
@@ -67,9 +66,9 @@ struct IssTb {
     Intc intc{sch, "intc", clk.out, rst.out, 0x40};
     PpcCpu cpu;
 
-    IssTb(const Program& prog, PpcCpu::Config::Engine engine, bool sleep)
+    IssTb(const Program& prog, bool sleep)
         : cpu(sch, "cpu", clk.out, rst.out, plb.master(0), dcr, mem, intc.irq,
-              PpcCpu::Config{prog.entry(), 5, engine}) {
+              PpcCpu::Config{prog.entry(), 5}) {
         plb.attach_slave(mem);
         dcr.attach(intc);
         mem.load_words(prog.origin, prog.words);
@@ -85,12 +84,11 @@ struct IssTb {
     }
 };
 
-void run_engine(benchmark::State& state, PpcCpu::Config::Engine engine,
-                bool sleep) {
+void run_cpu(benchmark::State& state, bool sleep) {
     const Program prog = assemble(kWorkload);
     std::uint64_t insns = 0;
     for (auto _ : state) {
-        IssTb tb(prog, engine, sleep);
+        IssTb tb(prog, sleep);
         insns = tb.run_to_halt();
         if (tb.sch.stop_requested()) state.SkipWithError("run was not clean");
         benchmark::DoNotOptimize(insns);
@@ -100,20 +98,11 @@ void run_engine(benchmark::State& state, PpcCpu::Config::Engine engine,
     state.counters["insns"] = static_cast<double>(insns);
 }
 
-void bm_iss_interp(benchmark::State& state) {
-    run_engine(state, PpcCpu::Config::Engine::kInterp, false);
-}
+void bm_iss_interp(benchmark::State& state) { run_cpu(state, false); }
 BENCHMARK(bm_iss_interp)->Unit(benchmark::kMillisecond);
 
-void bm_iss_cached_cold(benchmark::State& state) {
-    run_engine(state, PpcCpu::Config::Engine::kCached, false);
-}
-BENCHMARK(bm_iss_cached_cold)->Unit(benchmark::kMillisecond);
-
-void bm_iss_cached_warm(benchmark::State& state) {
-    run_engine(state, PpcCpu::Config::Engine::kCached, true);
-}
-BENCHMARK(bm_iss_cached_warm)->Unit(benchmark::kMillisecond);
+void bm_iss_sleep(benchmark::State& state) { run_cpu(state, true); }
+BENCHMARK(bm_iss_sleep)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -18,7 +18,7 @@ namespace {
 }
 
 // Signed 32x32 multiply low half without signed-overflow UB (the decode
-// cache's exec_uop computes the same way; see decode.cpp).
+// cache's batch executor computes the same way; see decode.cpp).
 [[nodiscard]] std::uint32_t mul_low32(std::uint32_t a, std::uint32_t b) {
     return static_cast<std::uint32_t>(
         static_cast<std::int64_t>(static_cast<std::int32_t>(a)) *
@@ -151,7 +151,6 @@ void PpcCpu::commit_sleep(std::uint64_t elapsed) {
     }
     icount_ += elapsed;
     sleep_insns_ += elapsed;
-    cur_blk_ = nullptr;
     gclk_->resume();
 }
 
@@ -168,38 +167,6 @@ void PpcCpu::wake_now() { wake_early(); }
 
 // --- per-cycle execution ----------------------------------------------------
 
-bool PpcCpu::step_cached() {
-    const DecodeCache::Block* blk = cur_blk_;
-    if (blk == nullptr || cur_idx_ >= blk->ops.size() ||
-        blk->start_pc + 4 * static_cast<std::uint32_t>(cur_idx_) != st_.pc ||
-        !cache_.fresh(*blk)) {
-        blk = cache_.lookup(st_.pc);
-        cur_blk_ = blk;
-        cur_idx_ = 0;
-    }
-    if (blk == nullptr) return false;  // undecodable: fetch path diagnoses
-
-    const MicroOp& op = blk->ops[cur_idx_];
-    if (trace) trace(st_.pc, op.raw);
-    if (needs_interp(st_, op)) {
-        st_.pc += 4;
-        ++icount_;
-        cur_blk_ = nullptr;
-        execute(op.raw);
-        return true;
-    }
-    exec_uop(st_, op);
-    ++icount_;
-    if (st_.pc ==
-            blk->start_pc + 4 * static_cast<std::uint32_t>(cur_idx_ + 1) &&
-        cur_idx_ + 1 < blk->ops.size()) {
-        ++cur_idx_;  // fall-through: stay on the block
-    } else {
-        cur_blk_ = nullptr;  // branch or block end: re-enter via lookup
-    }
-    return true;
-}
-
 void PpcCpu::on_clock() {
     if (is1(rst_.read())) {
         in_reset_ = true;
@@ -215,7 +182,6 @@ void PpcCpu::on_clock() {
         mem_busy_ = false;
         dcr_busy_ = false;
         dma_.reset();
-        cur_blk_ = nullptr;
     }
     if (fatal_) return;
 
@@ -238,14 +204,11 @@ void PpcCpu::on_clock() {
         return;  // vector fetch starts next cycle
     }
 
-    if (cfg_.engine == Config::Engine::kCached) {
-        // Sleep windows are per-cycle-equivalent batch execution; they stay
-        // off while tracing (per-instruction hook) and while the interrupt
-        // pin is X (the per-cycle X reports must keep firing).
-        if (gclk_ != nullptr && !trace && !is_unknown(irq) && maybe_sleep()) {
-            return;
-        }
-        if (step_cached()) return;
+    // Sleep windows are per-cycle-equivalent batch execution; they stay off
+    // while tracing (per-instruction hook) and while the interrupt pin is X
+    // (the per-cycle X reports must keep firing).
+    if (gclk_ != nullptr && !trace && !is_unknown(irq) && maybe_sleep()) {
+        return;
     }
 
     // Fetch (cached; backdoor read — see header timing model).
@@ -479,7 +442,6 @@ bool PpcCpu::ckpt_restore(rtlsim::SnapReader& r) {
     // The decode cache is rebuilt from restored memory (which must restore
     // before the CPU — the standard section order).
     cache_.flush();
-    cur_blk_ = nullptr;
     if (sleeping_ != wake_pending) return false;
     if (sleeping_) {
         if (gclk_ == nullptr) return false;  // harness must enable_sleep first

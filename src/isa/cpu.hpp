@@ -15,25 +15,19 @@
 //   * external interrupts are sampled between instructions; MSR[EE],
 //     SRR0/SRR1 and rfi follow the 405 exception model with EVPR = 0.
 //
-// Execution engines (Config::engine):
-//   * kInterp — the retained reference interpreter: fetch + decode + execute
-//     every instruction on every posedge. The oracle half of the lockstep
-//     differential tests.
-//   * kCached (default) — per-cycle execution out of the basic-block decode
-//     cache (src/isa/decode.hpp): one micro-op per posedge, re-validated
-//     against the owning memory page's write generation, falling back to
-//     the interpreter for bus ops, traps, MSR writes and illegal words.
-//     Cycle-, trace- and diagnostic-identical to kInterp by construction.
+// Execution: the interpreter fetches, decodes and executes each instruction
+// on its posedge; it is the only per-cycle path.
 //
-// On top of kCached, a harness whose only active master is the CPU may call
+// A harness whose only active master is the CPU may additionally call
 // enable_sleep(): when the CPU sees a long bus-free instruction sequence
 // ahead it pre-executes up to a few thousand instructions on a scratch
-// register file, parks the clock generator (phase-preserving gating), and
-// schedules a single wake event — collapsing thousands of posedge events
-// into two. Any registered wake signal edge or any memory write commits the
-// elapsed prefix and resumes the clock, so interrupts and DMA stores into
-// code observe per-cycle semantics. Not valid when other modules need the
-// same clock: the system harness never enables it.
+// register file through the basic-block decode cache and batch executor
+// (src/isa/decode.hpp), parks the clock generator (phase-preserving
+// gating), and schedules a single wake event — collapsing thousands of
+// posedge events into two. Any registered wake signal edge or any memory
+// write commits the elapsed prefix and resumes the clock, so interrupts and
+// DMA stores into code observe per-cycle semantics. Not valid when other
+// modules need the same clock: the system harness never enables it.
 //
 // Syscalls: the Power `sc` instruction traps to HostIo (src/isa/syscall.hpp)
 // with the genuine SRR0/SRR1 clobber — which is exactly why `sc` inside an
@@ -70,10 +64,6 @@ public:
         std::uint32_t reset_pc = 0x0000'1000;
         /// Upper bound on reported X-related diagnostics (spam control).
         unsigned x_report_limit = 5;
-        /// Execution engine; kCached is the default and is cycle-identical
-        /// to the interpreter (kInterp stays as the lockstep oracle).
-        enum class Engine : std::uint8_t { kInterp, kCached };
-        Engine engine = Engine::kCached;
     };
 
     PpcCpu(Scheduler& sch, const std::string& name, Signal<Logic>& clk,
@@ -108,9 +98,9 @@ public:
     [[nodiscard]] const HostIo& host_io() const { return host_; }
 
     /// Observability: every retired `sc` records an obs::EventKind::kSyscall
-    /// (a = call number, b = result, region = 1 when at ISR depth). Both
-    /// execution engines trap through the same interpreter path, so the
-    /// event stream is engine-invariant. Null disables (the default).
+    /// (a = call number, b = result, region = 1 when at ISR depth). `sc`
+    /// always runs per-cycle (it ends every sleep scan), so the event stream
+    /// is the same with or without sleep. Null disables (the default).
     void set_observer(obs::EventRecorder* rec) { obs_ = rec; }
 
     /// Decode-cache statistics (bench/regression introspection).
@@ -125,8 +115,8 @@ public:
     /// Allow sleep windows, parking `gclk` (which must generate this CPU's
     /// clk) during them. The reset and external-interrupt inputs are
     /// registered as wake signals automatically, and every write into
-    /// `imem` wakes the CPU (store-to-code / DMA visibility). Requires the
-    /// kCached engine and a single-lane scheduler; call once, before run.
+    /// `imem` wakes the CPU (store-to-code / DMA visibility). Call once,
+    /// before run.
     void enable_sleep(rtlsim::Clock& gclk);
 
     /// Register an additional wake signal (e.g. a DMA-done line a polled
@@ -163,7 +153,6 @@ private:
     void illegal(std::uint32_t insn, const std::string& why);
     void do_syscall();
 
-    bool step_cached();  ///< one micro-op via the decode cache; false -> fetch path
     bool maybe_sleep();  ///< try to open a sleep window at this posedge
     void commit_sleep(std::uint64_t elapsed);
     void wake_early();
@@ -200,12 +189,9 @@ private:
     std::uint32_t isr_depth_ = 0;  ///< take_interrupt/rfi nesting (syscall-in-ISR)
     obs::EventRecorder* obs_ = nullptr;
 
-    // Decode cache + per-cycle cursor. The cursor is a pure accelerator:
-    // it is valid only while it agrees with st_.pc and the block is fresh,
-    // so dropping it (nullptr) is always safe.
+    // Decode cache behind sleep-window scans and their replay; untouched
+    // (and empty) unless sleep is enabled.
     DecodeCache cache_;
-    const DecodeCache::Block* cur_blk_ = nullptr;
-    std::size_t cur_idx_ = 0;
 
     // Sleep state. A window pre-executed sleep_len_ instructions starting
     // at the posedge at sleep_start_; sleep_end_ holds the post-window

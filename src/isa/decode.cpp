@@ -24,14 +24,27 @@ inline void put_rc(ArchRegs& st, const MicroOp* uop, std::uint32_t v) {
     if (uop->flags & kUopFlagRc) set_cr0_signed(st, v);
 }
 
+/// True when `op` cannot be retired by exec_cached on the given state and
+/// must run through the full interpreter: kFallback always; divides whose
+/// result the Power ISA leaves undefined (zero divisor, INT_MIN/-1) so the
+/// interpreter's diagnostic report fires exactly once, per-cycle.
+[[nodiscard]] bool needs_interp(const ArchRegs& st, const MicroOp& op) {
+    if (op.kind == Uop::kFallback) return true;
+    if (op.kind == Uop::kDivwu) return st.gpr[op.b] == 0;
+    if (op.kind == Uop::kDivw) {
+        return st.gpr[op.b] == 0 ||
+               (st.gpr[op.a] == 0x8000'0000u && st.gpr[op.b] == 0xFFFF'FFFFu);
+    }
+    return false;
+}
+
 }  // namespace
 
-// Micro-op semantics, defined exactly once. Each entry expands with `st`
+// Micro-op semantics, one entry per Uop. Each entry expands with `st`
 // (ArchRegs&) and `uop` (const MicroOp*) in scope and st.pc already
-// advanced past the instruction; the same list instantiates the portable
-// switch in exec_uop and the computed-goto labels in exec_cached, so the
-// two dispatchers cannot drift apart. kFallback is deliberately absent:
-// callers filter it through needs_interp() first.
+// advanced past the instruction; the list instantiates the computed-goto
+// labels and jump table in exec_cached. kFallback is deliberately absent:
+// the executor filters it through needs_interp() first.
 // clang-format off
 #define AUTOVISION_UOP_SEMANTICS(X)                                          \
     X(kAddi,                                                                 \
@@ -159,22 +172,6 @@ inline void put_rc(ArchRegs& st, const MicroOp* uop, std::uint32_t v) {
     X(kMtcrf, st.cr0 = (st.gpr[uop->d] >> 28) & 0xF;)                        \
     X(kMfmsr, st.gpr[uop->d] = st.msr;)
 // clang-format on
-
-void exec_uop(ArchRegs& st, const MicroOp& op) {
-    const MicroOp* uop = &op;
-    st.pc += 4;
-    switch (uop->kind) {
-#define AUTOVISION_UOP_CASE(name, ...) \
-    case Uop::name: {                  \
-        __VA_ARGS__                    \
-    }                                  \
-        return;
-        AUTOVISION_UOP_SEMANTICS(AUTOVISION_UOP_CASE)
-#undef AUTOVISION_UOP_CASE
-        case Uop::kFallback: break;
-    }
-    assert(false && "exec_uop: op needs the interpreter");
-}
 
 MicroOp decode_one(std::uint32_t insn, std::uint32_t pc) {
     MicroOp u;
@@ -356,9 +353,12 @@ const DecodeCache::Block* DecodeCache::lookup(std::uint32_t pc,
     return b.ops.empty() ? nullptr : &b;
 }
 
+#if !defined(__GNUC__)
+#error "exec_cached needs GNU labels-as-values (GCC or Clang)"
+#endif
+
 ExecResult exec_cached(ArchRegs& st, DecodeCache& cache, std::uint64_t budget,
                        bool assume_fresh) {
-#if defined(__GNUC__) || defined(__clang__)
     // Threaded dispatch: each retired op jumps straight to the next op's
     // semantics through a per-call label table (cheap to build — a few
     // dozen stores per multi-thousand-instruction window — and free of
@@ -413,30 +413,6 @@ retired:
         goto dispatch;
     }
     goto refill;
-#else
-    std::uint64_t n = 0;
-    while (n < budget) {
-        const DecodeCache::Block* blk = cache.lookup(st.pc, assume_fresh);
-        if (blk == nullptr || blk->ops.empty()) {
-            return {ExecStop::kNoBlock, n};
-        }
-        const std::uint32_t base = blk->start_pc;
-        const std::size_t len = blk->ops.size();
-        for (std::size_t idx = 0; idx < len;) {
-            const MicroOp& op = blk->ops[idx];
-            if (needs_interp(st, op)) return {ExecStop::kTerminator, n};
-            exec_uop(st, op);
-            ++n;
-            if (st.halted) return {ExecStop::kHalted, n};
-            if (st.pc != base + 4 * static_cast<std::uint32_t>(idx + 1)) {
-                break;  // taken branch: re-enter through the cache
-            }
-            if (n >= budget) return {ExecStop::kBudget, n};
-            ++idx;
-        }
-    }
-    return {ExecStop::kBudget, n};
-#endif
 }
 
 }  // namespace autovision::isa

@@ -3,7 +3,8 @@
 // The interpreter in cpu.cpp re-decodes every instruction on every clock
 // edge; measured against the scenario firmware that is ~150 ns/insn, of
 // which almost all is kernel/event overhead and decode-switch dispatch.
-// This file splits the ISS into the layers a fast ISS needs:
+// Sleep windows (PpcCpu::enable_sleep) skip both by running long bus-free
+// stretches as one batch. This file holds the layers that batch path needs:
 //
 //   * ArchRegs — the architectural register file as a plain value type,
 //     so an instruction-set step can run on a scratch copy (the sleep
@@ -19,11 +20,8 @@
 //   * exec_cached — the threaded-dispatch batch executor: runs micro-ops
 //     on an ArchRegs until a budget, a non-deferrable instruction (bus
 //     access, syscall, MSR write), a halt, or undecodable memory stops it.
-//
-// The per-cycle cached engine in cpu.cpp executes exactly one micro-op per
-// posedge through the same semantics (exec_uop), which keeps it cycle-,
-// trace-, and diagnostic-identical to the interpreter; the batch executor
-// is what the clock-gated sleep path and the checkpoint replay use.
+//     The sleep scan, its early-wake replay and the checkpoint replay of an
+//     open window all run through it; the per-cycle path never does.
 //
 // Block boundaries: a block ends at any branch (included), at the first
 // Uop::kFallback (included — the executor stops *before* it), at a 4 KiB
@@ -140,28 +138,9 @@ struct MicroOp {
 /// Decode one instruction word fetched from `pc` into a micro-op.
 [[nodiscard]] MicroOp decode_one(std::uint32_t insn, std::uint32_t pc);
 
-/// True when `op` cannot be retired by exec_uop on the given state and must
-/// run through the full interpreter: kFallback always; divides whose result
-/// the Power ISA leaves undefined (zero divisor, INT_MIN/-1) so the
-/// interpreter's diagnostic report fires exactly once, per-cycle.
-[[nodiscard]] inline bool needs_interp(const ArchRegs& st, const MicroOp& op) {
-    if (op.kind == Uop::kFallback) return true;
-    if (op.kind == Uop::kDivwu) return st.gpr[op.b] == 0;
-    if (op.kind == Uop::kDivw) {
-        return st.gpr[op.b] == 0 ||
-               (st.gpr[op.a] == 0x8000'0000u && st.gpr[op.b] == 0xFFFF'FFFFu);
-    }
-    return false;
-}
-
-/// Retire one micro-op: advances st.pc by 4, then applies the op (branches
-/// overwrite pc; a taken self-branch without link sets halted, matching the
-/// interpreter's idle convention). Precondition: !needs_interp(st, op).
-void exec_uop(ArchRegs& st, const MicroOp& op);
-
 /// Basic-block cache keyed by physical start PC. Values are stable under
-/// rehash (std::unordered_map nodes don't move), so the CPU may hold a
-/// Block* cursor between cycles as long as it re-checks fresh().
+/// rehash (std::unordered_map nodes don't move), so the executor may hold a
+/// Block* across lookups as long as it re-checks fresh().
 class DecodeCache {
 public:
     struct Block {
@@ -230,8 +209,11 @@ struct ExecResult {
 };
 
 /// Run micro-ops on `st`, following branches across blocks, until one of
-/// the ExecStop conditions. Deterministic: re-running from the same state
-/// over unchanged (or assume_fresh-pinned) decode retires the same ops.
+/// the ExecStop conditions. Each op advances st.pc by 4 and then applies
+/// its semantics (a taken self-branch without link sets halted, matching
+/// the interpreter's idle convention). Deterministic: re-running from the
+/// same state over unchanged (or assume_fresh-pinned) decode retires the
+/// same ops.
 [[nodiscard]] ExecResult exec_cached(ArchRegs& st, DecodeCache& cache,
                                      std::uint64_t budget,
                                      bool assume_fresh = false);

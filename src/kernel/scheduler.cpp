@@ -3,21 +3,9 @@
 #include <cassert>
 #include <utility>
 
-#include "lane_pool.hpp"
 #include "logic.hpp"
 
 namespace rtlsim {
-
-namespace {
-
-/// The lane context the executing thread is currently evaluating for, or
-/// nullptr in every sequential context (timed events, lanes=1 settle,
-/// testbench code between quanta). Thread-local rather than a Scheduler
-/// member so concurrent schedulers on campaign worker threads cannot see
-/// each other's contexts; the owning scheduler is checked before routing.
-thread_local detail::LaneCtx* tls_lane_ctx = nullptr;
-
-}  // namespace
 
 // ---------------------------------------------------------------- Process
 
@@ -26,11 +14,7 @@ Process::Process(Scheduler& sch, std::string name, std::function<void()> fn)
     sch_.register_process(this);
 }
 
-void Process::notify() {
-    assert(tls_lane_ctx == nullptr &&
-           "notify() is not callable from a parallel evaluate phase");
-    sch_.notify_process(this, index_);
-}
+void Process::notify() { sch_.notify_process(this, index_); }
 
 void Process::run_profiled() {
     ++invocations_;
@@ -68,39 +52,11 @@ void SignalBase::notify_listeners(bool rising, bool falling) {
 void SignalBase::request_update() {
     if (!update_requested_) {
         update_requested_ = true;
-        sch_.request_update_ref(ref_);
+        sch_.updates_.push_back(ref_);
     }
 }
 
 // --------------------------------------------------------------- Scheduler
-
-Scheduler::Scheduler() {
-    configure_lanes(1);
-}
-
-Scheduler::~Scheduler() = default;
-
-void Scheduler::configure_lanes(unsigned n) {
-    if (n == 0) n = 1;
-    lane_count_ = n;
-    lanes_.clear();
-    lanes_.resize(n);
-    for (LaneCtx& lane : lanes_) lane.sch = this;
-    active_lanes_.clear();
-    active_lanes_.reserve(n);
-    pool_.reset();
-    if (n > 1) {
-        pool_ = std::make_unique<LanePool>(n - 1);
-        lane_runner_ = [this](unsigned i) { run_lane(*active_lanes_[i]); };
-    } else {
-        lane_runner_ = nullptr;
-    }
-    // Re-clamp lane ids of already-registered processes so a late
-    // reconfiguration cannot leave a process pointing past the lane array.
-    for (Process* p : procs_) {
-        p->lane_ = static_cast<std::uint16_t>(p->lane_ % n);
-    }
-}
 
 void Scheduler::FnEvent::fire() {
     // Detach the closure and recycle the node *before* invoking it, so the
@@ -114,8 +70,6 @@ void Scheduler::FnEvent::fire() {
 
 void Scheduler::schedule_at(Time t, std::function<void()> fn) {
     assert(t >= now_ && "cannot schedule events in the past");
-    assert(tls_lane_ctx == nullptr &&
-           "schedule_at() is not callable from a parallel evaluate phase");
     FnEvent* ev = fn_free_;
     if (ev != nullptr) {
         fn_free_ = static_cast<FnEvent*>(ev->next_);
@@ -128,14 +82,6 @@ void Scheduler::schedule_at(Time t, std::function<void()> fn) {
     ev->pending_ = true;
     ev->next_ = nullptr;
     queue_.push(ev, now_);
-}
-
-void Scheduler::request_update_ref(std::uint32_t ref) {
-    if (LaneCtx* c = tls_lane_ctx; c != nullptr && c->sch == this) {
-        c->updates.push_back(ref);
-    } else {
-        updates_.push_back(ref);
-    }
 }
 
 bool Scheduler::commit_and_notify(std::uint32_t ref) {
@@ -182,75 +128,6 @@ bool Scheduler::commit_and_notify(std::uint32_t ref) {
     return false;
 }
 
-void Scheduler::run_lane(LaneCtx& lane) {
-    LaneCtx* const prev = tls_lane_ctx;
-    tls_lane_ctx = &lane;
-    if (profiling_) {
-        for (Process* p : lane.queue) {
-            sched_flags_[p->index_] = 0;
-            ++lane.invocations;
-            p->run_profiled();
-        }
-    } else {
-        for (Process* p : lane.queue) {
-            sched_flags_[p->index_] = 0;
-            ++lane.invocations;
-            p->run();
-        }
-    }
-    tls_lane_ctx = prev;
-}
-
-void Scheduler::run_delta_lanes() {
-    // Partition this delta's runnable set into per-lane queues; relative
-    // order within a lane matches the sequential order.
-    std::size_t active = 0;
-    for (Process* p : run_scratch_) {
-        LaneCtx& lane = lanes_[p->lane_];
-        if (lane.queue.empty()) ++active;
-        lane.queue.push_back(p);
-    }
-
-    if (active >= 2 && run_scratch_.size() >= kMinParallelDelta) {
-        active_lanes_.clear();
-        for (LaneCtx& lane : lanes_) {
-            if (!lane.queue.empty()) active_lanes_.push_back(&lane);
-        }
-        pool_->run(static_cast<unsigned>(active_lanes_.size()), lane_runner_);
-    } else {
-        // Narrow delta: the fork/join would cost more than it hides.
-        for (LaneCtx& lane : lanes_) {
-            if (!lane.queue.empty()) run_lane(lane);
-        }
-    }
-
-    // Merge per-lane effects in ascending lane order — the canonical order
-    // that makes results independent of worker timing.
-    for (LaneCtx& lane : lanes_) {
-        if (lane.queue.empty()) continue;
-        lane.queue.clear();
-        stats.proc_invocations += lane.invocations;
-        lane.invocations = 0;
-        updates_.insert(updates_.end(), lane.updates.begin(),
-                        lane.updates.end());
-        lane.updates.clear();
-        for (Diag& d : lane.diags) {
-            if (diags_.size() >= kMaxDiags) {
-                ++dropped_diags_;
-            } else {
-                diags_.push_back(std::move(d));
-            }
-        }
-        lane.diags.clear();
-        dropped_diags_ += lane.dropped_diags;
-        lane.dropped_diags = 0;
-        for (std::string& reason : lane.stops) {
-            request_stop(reason);  // first (lowest-lane, in-order) wins
-        }
-        lane.stops.clear();
-    }
-}
-
 void Scheduler::settle() {
     while (!runnable_.empty() || !updates_.empty()) {
         ++stats.delta_cycles;
@@ -258,9 +135,7 @@ void Scheduler::settle() {
         // Evaluate phase: run every process queued in the previous delta.
         // The profiling branch is taken once per delta, not per process.
         run_scratch_.swap(runnable_);
-        if (lane_count_ > 1) {
-            run_delta_lanes();
-        } else if (profiling_) {
+        if (profiling_) {
             for (Process* p : run_scratch_) {
                 sched_flags_[p->index_] = 0;
                 ++stats.proc_invocations;
@@ -328,10 +203,6 @@ void Scheduler::run() {
 }
 
 void Scheduler::request_stop(const std::string& reason) {
-    if (LaneCtx* c = tls_lane_ctx; c != nullptr && c->sch == this) {
-        c->stops.push_back(reason);
-        return;
-    }
     if (!stop_requested_) {
         stop_requested_ = true;
         stop_reason_ = reason;
@@ -347,15 +218,6 @@ void Scheduler::set_tracer(Tracer* t) {
 }
 
 void Scheduler::report(std::string source, std::string message) {
-    if (LaneCtx* c = tls_lane_ctx; c != nullptr && c->sch == this) {
-        // Bounded like the global log; per-lane drops fold in at the merge.
-        if (diags_.size() + c->diags.size() >= kMaxDiags) {
-            ++c->dropped_diags;
-            return;
-        }
-        c->diags.push_back(Diag{now_, std::move(source), std::move(message)});
-        return;
-    }
     // Bound storage so a pathological run (or a hot benchmark loop) cannot
     // grow the log without limit; the count of dropped entries is kept.
     if (diags_.size() >= kMaxDiags) {
@@ -381,14 +243,6 @@ void Scheduler::unregister_signal(SignalBase* s) {
 
 bool Scheduler::ckpt_quiescent() const {
     if (!runnable_.empty() || !updates_.empty()) return false;
-    // Per-lane buffers are only ever non-empty inside settle(); checked
-    // for completeness since a snapshot must capture *all* pending work.
-    for (const LaneCtx& lane : lanes_) {
-        if (!lane.queue.empty() || !lane.updates.empty() ||
-            !lane.diags.empty() || !lane.stops.empty()) {
-            return false;
-        }
-    }
     // Every pooled closure node must be on the free list: a pending
     // schedule_at() closure cannot be serialized.
     std::size_t free_count = 0;

@@ -1,6 +1,5 @@
 #include "system.hpp"
 
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 
@@ -59,18 +58,6 @@ FirmwareConfig firmware_config(const SystemConfig& cfg,
 
 }  // namespace
 
-unsigned SystemConfig::resolve_lanes(unsigned cfg_lanes) {
-    if (cfg_lanes != 0) return cfg_lanes;
-    if (const char* env = std::getenv("AUTOVISION_LANES")) {
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1 && v <= 16) {
-            return static_cast<unsigned>(v);
-        }
-    }
-    return 1;
-}
-
 OpticalFlowSystem::OpticalFlowSystem(SystemConfig cfg)
     : cfg_(normalize(cfg)),
       clk(sch, "clk", cfg_.clk_period),
@@ -96,22 +83,6 @@ OpticalFlowSystem::OpticalFlowSystem(SystemConfig cfg)
       cpu(sch, "cpu", clk.out, rst.out, plb.master(kMasterCpu), dcr, mem,
           intc.irq, isa::PpcCpu::Config{kFwBase, 5}) {
     sch.set_profiling(cfg.profiling);
-
-    // --- event lanes (DESIGN.md §13) ---------------------------------------
-    // The CPU/DCR/ICAP/portal/region/engine cluster couples through direct
-    // method calls and stays on lane 0. The PLB (with the passive memory
-    // slave it alone writes) and the two video VIPs couple to the rest of
-    // the system only through committed signal reads of their master-port
-    // bundles, so each can evaluate on its own lane; the bus-transaction
-    // boundary is the conservative synchronization point, re-joined at the
-    // end of every delta.
-    const unsigned nlanes = SystemConfig::resolve_lanes(cfg.lanes);
-    sch.configure_lanes(nlanes);
-    if (nlanes > 1) {
-        plb.set_lane(1);
-        video_in.set_lane(nlanes >= 3 ? 2 : 1);
-        video_out.set_lane(nlanes >= 4 ? 3 : (nlanes >= 3 ? 2 : 1));
-    }
 
     // --- bus topology -----------------------------------------------------
     plb.attach_slave(mem);
@@ -322,10 +293,8 @@ std::uint64_t OpticalFlowSystem::config_hash(const SystemConfig& cfg) {
     h = snap_hash64_u64(cfg.clk_period, h);
     h = snap_hash64_u64(cfg.trace_events ? 1 : 0, h);
     h = snap_hash64_u64(cfg.trace_capacity, h);
-    // profiling, lanes, vcd_path and trace_path are deliberately excluded:
-    // they do not change simulation state (lanes is bit-exact by the
-    // kernel-invariance contract, so snapshots interchange freely between
-    // lane counts).
+    // profiling, vcd_path and trace_path are deliberately excluded: they
+    // do not change simulation state.
     //
     // The virtualization-pool fields fold in only when a pool exists, so
     // every single-region configuration hashes exactly as it did before

@@ -101,19 +101,6 @@ struct SystemConfig {
     rtlsim::Time clk_period = 10 * rtlsim::NS;  ///< 100 MHz system clock
     bool profiling = false;       ///< per-process wall-clock accounting
 
-    /// Event lanes for the parallel evaluate phase (DESIGN.md §13).
-    /// 0 = auto: honor the AUTOVISION_LANES environment variable, else
-    /// run sequentially. An explicit value (1, 2, 4, ...) is used as-is;
-    /// lanes=1 is exactly the sequential kernel path. Results are
-    /// bit-exact at every lane count (pinned by the kernel-invariance
-    /// suite), so this knob — like profiling — is excluded from the
-    /// checkpoint config hash.
-    unsigned lanes = 0;
-
-    /// Apply the lanes auto rule: explicit values pass through, 0 reads
-    /// AUTOVISION_LANES (clamped to [1, 16]), absent/invalid means 1.
-    [[nodiscard]] static unsigned resolve_lanes(unsigned cfg_lanes);
-
     /// When non-empty, the testbench dumps a VCD of the system's key
     /// signals (clock, region boundary, interrupt lines, stream tap) to
     /// this path for waveform inspection.

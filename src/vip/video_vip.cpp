@@ -1,6 +1,7 @@
 #include "video_vip.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace autovision::vip {
 
@@ -113,30 +114,36 @@ void VideoOutVip::fetch_frame(std::uint32_t addr, unsigned w, unsigned h,
     staging_ = video::Frame(w, h);
     dma_.start_read(
         addr, (w * h + 3) / 4,
-        [this](std::uint32_t i, Word word) {
-            if (word.has_unknown() && x_reports_ < 5) {
-                ++x_reports_;
-                report("X in displayed frame data");
-            }
-            const auto v = static_cast<std::uint32_t>(word.to_u64());
-            auto px = staging_.pixels();
-            for (unsigned b = 0; b < 4; ++b) {
-                const std::size_t idx = 4 * std::size_t{i} + b;
-                if (idx < px.size()) {
-                    px[idx] = static_cast<std::uint8_t>(v >> (8 * (3 - b)));
-                }
-            }
-        },
-        [this] {
-            busy_ = false;
-            pulse_ = true;
-            ++frames_;
-            if (sink_) {
-                auto s = std::move(sink_);
-                sink_ = {};
-                s(std::move(staging_));
-            }
-        });
+        [this](std::uint32_t i, Word word) { store_word(i, word); },
+        [this] { finish_fetch(); });
+}
+
+void VideoOutVip::store_word(std::uint32_t i, Word word) {
+    if (word.has_unknown() && x_reports_ < 5) {
+        ++x_reports_;
+        report("X in displayed frame data");
+    }
+    const auto v = static_cast<std::uint32_t>(word.to_u64());
+    auto px = staging_.pixels();
+    for (unsigned b = 0; b < 4; ++b) {
+        const std::size_t idx = 4 * std::size_t{i} + b;
+        if (idx < px.size()) {
+            px[idx] = static_cast<std::uint8_t>(v >> (8 * (3 - b)));
+        }
+    }
+}
+
+void VideoOutVip::finish_fetch() {
+    busy_ = false;
+    pulse_ = true;
+    ++frames_;
+    if (sink_) {
+        auto s = std::move(sink_);
+        sink_ = {};
+        // Hand the frame over but leave staging_ a valid (empty) frame: a
+        // checkpoint taken after this point must save consistent geometry.
+        s(std::exchange(staging_, video::Frame{}));
+    }
 }
 
 void VideoOutVip::on_clock() {
@@ -176,31 +183,8 @@ bool VideoOutVip::ckpt_restore(rtlsim::SnapReader& r) {
     // Re-arm the fetch closures (identical to fetch_frame's); the frame
     // sink is external and re-installed by the harness.
     dma_.ckpt_rearm(
-        [this](std::uint32_t i, Word word) {
-            if (word.has_unknown() && x_reports_ < 5) {
-                ++x_reports_;
-                report("X in displayed frame data");
-            }
-            const auto v = static_cast<std::uint32_t>(word.to_u64());
-            auto px = staging_.pixels();
-            for (unsigned b = 0; b < 4; ++b) {
-                const std::size_t idx = 4 * std::size_t{i} + b;
-                if (idx < px.size()) {
-                    px[idx] = static_cast<std::uint8_t>(v >> (8 * (3 - b)));
-                }
-            }
-        },
-        {},
-        [this] {
-            busy_ = false;
-            pulse_ = true;
-            ++frames_;
-            if (sink_) {
-                auto s = std::move(sink_);
-                sink_ = {};
-                s(std::move(staging_));
-            }
-        });
+        [this](std::uint32_t i, Word word) { store_word(i, word); }, {},
+        [this] { finish_fetch(); });
     return true;
 }
 

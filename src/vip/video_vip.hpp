@@ -88,6 +88,9 @@ public:
 
 private:
     void on_clock();
+    // Fetch completion handlers, shared by fetch_frame and ckpt_restore.
+    void store_word(std::uint32_t i, rtlsim::Word word);
+    void finish_fetch();
 
     DmaMaster dma_;
     video::Frame staging_;

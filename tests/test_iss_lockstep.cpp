@@ -1,32 +1,34 @@
-// Lockstep differential tests for the ISS execution engines.
+// Lockstep differential tests: per-cycle execution vs batch execution.
 //
-// The decode-cache engine (kCached) claims to be cycle- and state-identical
-// to the retained reference interpreter (kInterp). These tests pin that
-// claim the hard way: two complete CPU testbenches execute the same
-// assembler-generated program side by side and the whole architectural
-// register file (ArchRegs: GPRs, PC, MSR, CR0, LR, CTR, XER, SRR0/1, halt)
-// is diffed after every clock cycle.
+// The interpreter is the ISS's only per-cycle path; sleep windows
+// (enable_sleep) run bus-free stretches as one batch through the decode
+// cache and exec_cached, and claim to be cycle- and state-identical to
+// per-cycle execution. These tests pin that claim the hard way: two
+// complete CPU testbenches execute the same assembler-generated program
+// side by side — side A per-cycle only, side B with sleep enabled — and the
+// whole architectural register file (ArchRegs: GPRs, PC, MSR, CR0, LR, CTR,
+// XER, SRR0/1, halt) is diffed at every quantum boundary, after
+// wake_now() commits side B's open window up to the current cycle.
 //
 // The program generator draws from a single seed and deliberately includes
-// the three hazards the decode cache must survive:
+// the three hazards the batch path must survive:
 //   * self-modifying code — stores of valid instruction words into patch
 //     slots the control flow re-executes (page write-generation must
 //     invalidate the cached block);
 //   * mid-block external interrupts — IRQ pulses at arbitrary, off-phase
 //     times landing in the middle of cached basic blocks (interrupts are
-//     sampled between instructions in both engines);
+//     sampled between instructions on both sides);
 //   * syscalls — `sc` traps (putchar/clock/yield and the final exit) whose
 //     SRR clobber and host-IO side effects must agree byte-for-byte.
 //
-// A second layer runs the cached engine with sleep windows enabled
-// (clock-gated batch execution) against the per-cycle interpreter: the
-// comparison is coarser (arch state lags while a window is open, so the
-// diff happens at quantum boundaries after wake_now()) but must still agree
-// exactly, including interrupt arrival cycles.
+// Layer 1 diffs every cycle, so each of side B's windows is cut short by
+// wake_now() and replayed (the early-wake path). Layer 2 uses a bus-free
+// body and long quanta, so windows run to their scheduled end.
 //
-// Across the randomized suites the two engines retire well over 100k
+// Across the randomized suites the two sides retire well over 100k
 // instructions in lockstep (8 per-cycle seeds x ~10k + 4 sleep seeds x
-// ~14k), asserted per test via the retired-instruction floors below.
+// ~14k), asserted per test via the retired-instruction floors below, and
+// every seed must open at least one sleep window on side B.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -54,7 +56,6 @@ using rtlsim::Scheduler;
 using rtlsim::Signal;
 
 constexpr rtlsim::Time kClk = 10 * NS;
-using Engine = PpcCpu::Config::Engine;
 
 /// Full CPU testbench with an external interrupt line into the INTC.
 struct LockTb {
@@ -68,9 +69,9 @@ struct LockTb {
     Intc intc{sch, "intc", clk.out, rst.out, 0x40};
     PpcCpu cpu;
 
-    LockTb(const Program& prog, Engine eng, bool sleep)
+    LockTb(const Program& prog, bool sleep)
         : cpu(sch, "cpu", clk.out, rst.out, plb.master(0), dcr, mem, intc.irq,
-              PpcCpu::Config{prog.entry(), 5, eng}) {
+              PpcCpu::Config{prog.entry(), 5}) {
         plb.attach_slave(mem);
         dcr.attach(intc);
         intc.attach(line);
@@ -252,14 +253,26 @@ std::vector<rtlsim::Time> random_pulses(std::uint64_t seed, unsigned count,
 
 // ----------------------------------------------------------- lockstep core
 
-/// Run interpreter vs cached side by side, diffing the full architectural
-/// state every `quantum`. Returns retired instructions (asserted equal).
-std::uint64_t run_lockstep(const Program& p,
-                           const std::vector<rtlsim::Time>& pulses,
-                           bool sleep_b, rtlsim::Time max_time,
-                           rtlsim::Time quantum = kClk) {
-    LockTb a(p, Engine::kInterp, false);
-    LockTb b(p, Engine::kCached, sleep_b);
+struct LockstepResult {
+    std::uint64_t instructions = 0;     ///< retired (asserted equal per side)
+    std::uint64_t sleep_windows = 0;    ///< windows side B opened
+    std::uint64_t stale_redecodes = 0;  ///< side B decode-cache redecodes
+    ArchRegs regs;                      ///< side A's final register file
+};
+
+/// Run per-cycle (side A) vs sleep-enabled (side B) side by side, diffing
+/// the full architectural state every `quantum`.
+LockstepResult run_lockstep(const Program& p,
+                            const std::vector<rtlsim::Time>& pulses,
+                            rtlsim::Time max_time,
+                            rtlsim::Time quantum = kClk) {
+    LockTb a(p, /*sleep=*/false);
+    LockTb b(p, /*sleep=*/true);
+    const auto result = [&] {
+        return LockstepResult{a.cpu.instructions(), b.cpu.sleep_windows(),
+                              b.cpu.decode_cache().stale_redecodes(),
+                              a.cpu.arch_state()};
+    };
     for (const rtlsim::Time t : pulses) {
         a.pulse_at(t);
         b.pulse_at(t);
@@ -267,31 +280,32 @@ std::uint64_t run_lockstep(const Program& p,
     while (a.sch.now() < max_time) {
         a.sch.run_until(a.sch.now() + quantum);
         b.sch.run_until(b.sch.now() + quantum);
-        b.cpu.wake_now();  // no-op unless a sleep window is open
+        b.cpu.wake_now();  // commit an open window up to this cycle
         EXPECT_EQ(a.sch.now(), b.sch.now());
         const ArchRegs& ra = a.cpu.arch_state();
         const ArchRegs& rb = b.cpu.arch_state();
         if (!(ra == rb)) {
             ADD_FAILURE() << "arch state diverged at t=" << a.sch.now()
-                          << " interp pc=0x" << std::hex << ra.pc
-                          << " cached pc=0x" << rb.pc << std::dec
-                          << " (interp icount=" << a.cpu.instructions()
-                          << ", cached icount=" << b.cpu.instructions()
+                          << " per-cycle pc=0x" << std::hex << ra.pc
+                          << " sleep pc=0x" << rb.pc << std::dec
+                          << " (per-cycle icount=" << a.cpu.instructions()
+                          << ", sleep icount=" << b.cpu.instructions()
                           << ")";
-            return a.cpu.instructions();
+            return result();
         }
         if (a.cpu.host_io().exited() && b.cpu.host_io().exited()) break;
     }
     EXPECT_TRUE(a.cpu.host_io().exited())
-        << "interpreter run never reached exit(0)";
+        << "per-cycle run never reached exit(0)";
     EXPECT_TRUE(b.cpu.host_io().exited())
-        << "cached run never reached exit(0)";
+        << "sleep-enabled run never reached exit(0)";
     EXPECT_EQ(a.cpu.instructions(), b.cpu.instructions());
     EXPECT_EQ(a.cpu.interrupts_taken(), b.cpu.interrupts_taken());
     EXPECT_EQ(a.cpu.host_io().out(), b.cpu.host_io().out());
     EXPECT_EQ(a.cpu.host_io().total_calls(), b.cpu.host_io().total_calls());
     EXPECT_EQ(a.cpu.host_io().exit_code(), b.cpu.host_io().exit_code());
-    return a.cpu.instructions();
+    EXPECT_EQ(a.cpu.sleep_windows(), 0u);
+    return result();
 }
 
 // ------------------------------------------------------------------- tests
@@ -307,19 +321,20 @@ TEST(IsaLockstep, RandomizedStreamsMatchPerCycle) {
         g.outer = 36;
         const Program p = assemble(random_program(seed, g));
         const auto pulses = random_pulses(seed, 12, 40000 * kClk);
-        total += run_lockstep(p, pulses, /*sleep_b=*/false, 200000 * kClk);
+        const LockstepResult r = run_lockstep(p, pulses, 200000 * kClk);
+        EXPECT_GT(r.sleep_windows, 0u) << "seed " << seed;
+        total += r.instructions;
         if (::testing::Test::HasFailure()) break;  // first divergence only
     }
     EXPECT_GE(total, 60000u) << "randomized suite must retire >= 60k insns";
 }
 
 TEST(IsaLockstep, SleepWindowsMatchInterpreter) {
-    // Layer 2: cached engine with clock-gated sleep windows vs the
-    // per-cycle interpreter. The body is bus-free (mem_weight 0) so long
-    // windows actually open; IRQ pulses land inside them and must be taken
-    // on the same cycle as the never-sleeping reference. Arch state is
-    // compared at quantum boundaries after wake_now(). Floor: >= 48k
-    // retired instructions across the seeds.
+    // Layer 2: long clock-gated sleep windows vs per-cycle execution. The
+    // body is bus-free (mem_weight 0) so long windows actually open; IRQ
+    // pulses land inside them and must be taken on the same cycle as the
+    // never-sleeping reference. Arch state is compared at 512-cycle quantum
+    // boundaries. Floor: >= 48k retired instructions across the seeds.
     std::uint64_t total = 0;
     for (std::uint64_t seed = 21; seed <= 24; ++seed) {
         GenConfig g;
@@ -329,16 +344,18 @@ TEST(IsaLockstep, SleepWindowsMatchInterpreter) {
         g.smc_weight = 1;  // each store still wakes the CPU (store-to-code)
         const Program p = assemble(random_program(seed, g));
         const auto pulses = random_pulses(seed, 8, 60000 * kClk);
-        total += run_lockstep(p, pulses, /*sleep_b=*/true, 400000 * kClk,
-                              /*quantum=*/512 * kClk);
+        const LockstepResult r =
+            run_lockstep(p, pulses, 400000 * kClk, /*quantum=*/512 * kClk);
+        EXPECT_GT(r.sleep_windows, 0u) << "seed " << seed;
+        total += r.instructions;
         if (::testing::Test::HasFailure()) break;
     }
     EXPECT_GE(total, 48000u) << "sleep suite must retire >= 48k insns";
 }
 
 TEST(IsaLockstep, SleepActuallyOpensWindows) {
-    // Guard for the layer-2 suite: on a bus-free body the cached+sleep
-    // engine must batch a significant share of its instructions inside
+    // Guard for the layer-2 suite: on a bus-free body the sleep-enabled
+    // side must batch a significant share of its instructions inside
     // sleep windows, otherwise the suite above degenerates into layer 1.
     GenConfig g;
     g.body_items = 100;
@@ -347,7 +364,7 @@ TEST(IsaLockstep, SleepActuallyOpensWindows) {
     g.smc_weight = 0;
     g.syscall_weight = 0;
     const Program p = assemble(random_program(33, g));
-    LockTb tb(p, Engine::kCached, true);
+    LockTb tb(p, /*sleep=*/true);
     while (!tb.cpu.host_io().exited() && tb.sch.now() < 400000 * kClk) {
         tb.sch.run_until(tb.sch.now() + 4096 * kClk);
         tb.cpu.wake_now();
@@ -361,13 +378,17 @@ TEST(IsaLockstep, SleepActuallyOpensWindows) {
 TEST(IsaLockstep, SelfModifyingStoreInvalidatesTheCachedBlock) {
     // Deterministic SMC kernel: pass 1 executes the original patch slot
     // (addi r6, r6, 1), stores the encoding of `addi r6, r6, 100` over it,
-    // and every later pass must execute the patched word. Both engines run
-    // in lockstep; the cached engine must additionally report stale
-    // redecodes (the write-generation invalidation actually fired).
+    // and every later pass must execute the patched word. The store is
+    // followed by a bus-free pad longer than the minimum sleep window, so
+    // side B's sleep scan runs through the pad and the loop branch and
+    // re-enters the patch block from the decode cache: the store's page
+    // write-generation bump must force a redecode instead of replaying the
+    // stale micro-op.
     std::ostringstream s;
     s << ".org 0x1000\n"
          "_start:\n"
          "  li r6, 0\n"
+         "  li r7, 0\n"
          "  li r25, 5\n"
          "  lis r28, hi(patch)\n  ori r28, r28, lo(patch)\n"
          "  lis r26, hi(" << encode("addi r6, r6, 100") << ")\n"
@@ -375,33 +396,28 @@ TEST(IsaLockstep, SelfModifyingStoreInvalidatesTheCachedBlock) {
          "outer:\n"
          "patch:\n"
          "  addi r6, r6, 1\n"
-         "  stw r26, 0(r28)\n"
-         "  addi r25, r25, -1\n"
+         "  stw r26, 0(r28)\n";
+    for (unsigned i = 0; i < 24; ++i) s << "  addi r7, r7, 1\n";
+    s << "  addi r25, r25, -1\n"
          "  cmpwi r25, 0\n"
          "  bne outer\n"
          "  li r0, 0\n  li r3, 0\n  sc\n"
          "done: b done\n";
     const Program p = assemble(s.str());
 
-    LockTb a(p, Engine::kInterp, false);
-    LockTb b(p, Engine::kCached, false);
-    while (!a.cpu.host_io().exited() && a.sch.now() < 20000 * kClk) {
-        a.sch.run_until(a.sch.now() + kClk);
-        b.sch.run_until(b.sch.now() + kClk);
-        ASSERT_EQ(a.cpu.arch_state(), b.cpu.arch_state())
-            << "diverged at t=" << a.sch.now();
-    }
-    ASSERT_TRUE(a.cpu.host_io().exited());
+    const LockstepResult r = run_lockstep(p, {}, 20000 * kClk,
+                                          /*quantum=*/64 * kClk);
+    EXPECT_GT(r.sleep_windows, 0u);
     // Pass 1 adds 1, passes 2..5 add the patched 100.
-    EXPECT_EQ(a.cpu.gpr(6), 401u);
-    EXPECT_EQ(b.cpu.gpr(6), 401u);
-    EXPECT_GT(b.cpu.decode_cache().stale_redecodes(), 0u)
+    EXPECT_EQ(r.regs.gpr[6], 401u);
+    EXPECT_EQ(r.regs.gpr[7], 5u * 24u);
+    EXPECT_GT(r.stale_redecodes, 0u)
         << "store-to-code must invalidate the cached block";
 }
 
 TEST(IsaLockstep, MidBlockIrqsAreTakenOnTheSameCycle) {
     // A long straight-line block (cached as one basic block) hammered with
-    // IRQ pulses at off-phase times: both engines must enter and leave the
+    // IRQ pulses at off-phase times: both sides must enter and leave the
     // ISR on exactly the same cycles (per-cycle ArchRegs diff covers
     // SRR0/SRR1/MSR), and take the same interrupt count.
     std::ostringstream body;
@@ -429,13 +445,13 @@ TEST(IsaLockstep, MidBlockIrqsAreTakenOnTheSameCycle) {
     for (unsigned i = 0; i < 16; ++i) {
         pulses.push_back((300 + 731 * i) * kClk + 3 * NS);
     }
-    const std::uint64_t insns =
-        run_lockstep(p, pulses, /*sleep_b=*/false, 120000 * kClk);
-    EXPECT_GT(insns, 15000u);
+    const LockstepResult r = run_lockstep(p, pulses, 120000 * kClk);
+    EXPECT_GT(r.instructions, 15000u);
+    EXPECT_GT(r.sleep_windows, 0u);
 
     // Every pulse must actually have been serviced (r20 == 16) — rerun one
-    // engine standalone to read the ISR counter.
-    LockTb solo(p, Engine::kCached, false);
+    // side standalone to read the ISR counter.
+    LockTb solo(p, /*sleep=*/false);
     for (const rtlsim::Time t : pulses) solo.pulse_at(t);
     while (!solo.cpu.host_io().exited() && solo.sch.now() < 120000 * kClk) {
         solo.sch.run_until(solo.sch.now() + 1024 * kClk);
@@ -447,14 +463,14 @@ TEST(IsaLockstep, MidBlockIrqsAreTakenOnTheSameCycle) {
 
 TEST(IsaLockstep, SyscallStreamsAgreeByteForByte) {
     // Syscall-dense program: the console output, per-service counters and
-    // exit code must agree between the engines (the diff in run_lockstep
+    // exit code must agree between the two sides (the diff in run_lockstep
     // asserts them); additionally pin the console contents here.
     GenConfig g;
     g.body_items = 60;
     g.outer = 8;
     g.syscall_weight = 6;
     const Program p = assemble(random_program(77, g));
-    LockTb solo(p, Engine::kCached, false);
+    LockTb solo(p, /*sleep=*/true);
     while (!solo.cpu.host_io().exited() && solo.sch.now() < 120000 * kClk) {
         solo.sch.run_until(solo.sch.now() + 1024 * kClk);
     }
@@ -462,13 +478,13 @@ TEST(IsaLockstep, SyscallStreamsAgreeByteForByte) {
     const std::string expected = solo.cpu.host_io().out();
     EXPECT_FALSE(expected.empty());
 
-    LockTb ref(p, Engine::kInterp, false);
+    LockTb ref(p, /*sleep=*/false);
     while (!ref.cpu.host_io().exited() && ref.sch.now() < 120000 * kClk) {
         ref.sch.run_until(ref.sch.now() + 1024 * kClk);
     }
     ASSERT_TRUE(ref.cpu.host_io().exited());
     EXPECT_EQ(ref.cpu.host_io().out(), expected);
-    run_lockstep(p, {}, /*sleep_b=*/false, 120000 * kClk);
+    EXPECT_GT(run_lockstep(p, {}, 120000 * kClk).sleep_windows, 0u);
 }
 
 }  // namespace

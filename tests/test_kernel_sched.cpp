@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 #include "kernel/kernel.hpp"
 
@@ -56,6 +57,31 @@ TEST(Scheduler, StopRequestHaltsRun) {
     EXPECT_EQ(hits, 3);
     EXPECT_TRUE(sch.stop_requested());
     EXPECT_EQ(sch.stop_reason(), "enough");
+}
+
+TEST(Scheduler, FirstStopInADeltaWins) {
+    // Two processes request a stop on the same clock edge, i.e. in the same
+    // delta: the first request in evaluation order (listener registration
+    // order) is recorded, the later one is ignored, the timestep still
+    // completes, and the outcome is identical run to run.
+    auto run_once = [] {
+        Scheduler sch;
+        Clock clk(sch, "clk", 10 * NS);
+        int after_stop = 0;
+        Process first(sch, "first", [&] { sch.request_stop("first"); });
+        Process second(sch, "second", [&] {
+            sch.request_stop("second");
+            ++after_stop;
+        });
+        clk.out.add_listener(first, Edge::Pos);
+        clk.out.add_listener(second, Edge::Pos);
+        sch.run();
+        EXPECT_EQ(after_stop, 1) << "the whole delta still evaluates";
+        return std::make_pair(sch.stop_reason(), sch.now());
+    };
+    const auto a = run_once();
+    EXPECT_EQ(a.first, "first");
+    EXPECT_EQ(run_once(), a);
 }
 
 TEST(Scheduler, DiagnosticsAreRecorded) {
