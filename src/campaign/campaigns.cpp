@@ -1,10 +1,13 @@
 #include "campaigns.hpp"
 
+#include <bit>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "bus/memory.hpp"
 #include "bus/plb.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "diff/classify.hpp"
 #include "diff/repro.hpp"
 #include "diff/shrink.hpp"
@@ -16,6 +19,7 @@
 #include "resim/icap_artifact.hpp"
 #include "resim/portal.hpp"
 #include "resim/simb.hpp"
+#include "sink.hpp"
 
 namespace autovision::campaign {
 
@@ -472,6 +476,127 @@ std::vector<SimJob> diff_batch_jobs(const DiffCampaignConfig& cfg) {
         jobs.push_back(std::move(job));
     }
     return jobs;
+}
+
+std::uint64_t diff_config_hash(const DiffCampaignConfig& cfg) {
+    std::uint64_t h = rtlsim::snap_hash64("campaign.diff.v1");
+    h = rtlsim::snap_hash64_u64(cfg.seed, h);
+    h = rtlsim::snap_hash64_u64(cfg.count, h);
+    h = rtlsim::snap_hash64_u64(static_cast<std::uint64_t>(cfg.inject), h);
+    h = rtlsim::snap_hash64_u64(cfg.min_sessions, h);
+    h = rtlsim::snap_hash64_u64(cfg.max_sessions, h);
+    return h;
+}
+
+namespace {
+constexpr char kDiffSection[] = "diff.done";
+}  // namespace
+
+std::string DiffProgress::save(const DiffCampaignConfig& cfg) const {
+    ckpt::Manifest m;
+    m.config_hash = diff_config_hash(cfg);
+    m.sim_time = done.size();
+    ckpt::Saver saver(m);
+    rtlsim::SnapWriter& w = saver.section(kDiffSection);
+    w.u32(static_cast<std::uint32_t>(done.size()));
+    for (const auto& [idx, d] : done) {
+        w.u32(idx);
+        w.bool8(d.passed);
+        w.u32(static_cast<std::uint32_t>(d.metrics.size()));
+        for (const auto& [key, value] : d.metrics) {
+            w.str(key);
+            w.u64(std::bit_cast<std::uint64_t>(value));
+        }
+        w.str(d.verdict_line);
+    }
+    std::ostringstream os;
+    return saver.write_to(os) ? os.str() : std::string();
+}
+
+bool DiffProgress::restore(const std::string& blob,
+                           const DiffCampaignConfig& cfg, std::string* err) {
+    const auto fail = [&](const std::string& why) {
+        if (err != nullptr) *err = why;
+        return false;
+    };
+    std::istringstream is(blob);
+    ckpt::Loader loader;
+    if (!loader.load(is, diff_config_hash(cfg))) return fail(loader.error());
+    done.clear();
+    rtlsim::SnapReader r = loader.reader(kDiffSection);
+    const std::uint32_t n = r.u32();
+    for (std::uint32_t i = 0; i < n && r.ok_so_far(); ++i) {
+        const std::uint32_t idx = r.u32();
+        DiffScenario d;
+        d.passed = r.bool8();
+        const std::uint32_t nm = r.u32();
+        for (std::uint32_t k = 0; k < nm && r.ok_so_far(); ++k) {
+            std::string key = r.str();
+            d.metrics[std::move(key)] = std::bit_cast<double>(r.u64());
+        }
+        d.verdict_line = r.str();
+        if (idx >= cfg.count || !done.emplace(idx, std::move(d)).second) {
+            return fail(std::string(kDiffSection) + ": bad scenario index");
+        }
+    }
+    if (!r.ok() || done.size() != n) {
+        return fail(std::string(kDiffSection) + ": malformed");
+    }
+    return true;
+}
+
+StateRead resume_diff(DiffProgress& progress, const DiffCampaignConfig& cfg,
+                      const std::string& path, std::string* err) {
+    std::string payload;
+    const StateRead got = read_state_file(path, &payload, err);
+    if (got != StateRead::kLoaded) return got;
+    std::string why;
+    if (!progress.restore(payload, cfg, &why)) {
+        if (err != nullptr) *err = path + ": " + why;
+        return StateRead::kRejected;
+    }
+    return StateRead::kLoaded;
+}
+
+bool run_diff_remaining(const DiffCampaignConfig& cfg,
+                        const CampaignConfig& rc, DiffProgress& progress,
+                        const std::string& state_path, std::string* err) {
+    std::unique_ptr<JsonlSink> sink;
+    if (!rc.jsonl_path.empty()) {
+        sink = std::make_unique<JsonlSink>(rc.jsonl_path);
+    }
+
+    // Each job is seed-deterministic, so re-running only the scenarios with
+    // no recorded verdict yields the same verdict set as an uninterrupted
+    // batch.
+    const std::vector<SimJob> jobs = diff_batch_jobs(cfg);
+    std::vector<SimJob> remaining;
+    std::vector<std::uint32_t> batch_index;
+    for (std::uint32_t i = 0; i < jobs.size(); ++i) {
+        if (progress.done.count(i) != 0) continue;
+        remaining.push_back(jobs[i]);
+        batch_index.push_back(i);
+    }
+    if (remaining.empty()) return true;
+
+    bool wrote = true;
+    CampaignConfig inner = rc;
+    inner.jsonl_path.clear();
+    // The runner serialises on_record, so `progress` and the state file are
+    // only ever touched by one thread at a time.
+    inner.on_record = [&](const JobRecord& rec) {
+        JobRecord fixed = rec;
+        fixed.index = batch_index[rec.index];
+        progress.done[batch_index[rec.index]] = {
+            fixed.passed(), fixed.report.metrics, to_verdict_line(fixed)};
+        if (!state_path.empty() && wrote) {
+            wrote = write_state_file(state_path, progress.save(cfg), err);
+        }
+        if (sink) sink->write(fixed);
+        if (rc.on_record) rc.on_record(fixed);
+    };
+    (void)CampaignRunner(inner).run(remaining);
+    return wrote;
 }
 
 }  // namespace autovision::campaign

@@ -16,12 +16,15 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include <string>
 
 #include "diff/diff.hpp"
 #include "job.hpp"
+#include "runner.hpp"
+#include "state_file.hpp"
 #include "sys/detection.hpp"
 
 namespace autovision::campaign {
@@ -97,5 +100,51 @@ struct DiffCampaignConfig {
 };
 [[nodiscard]] std::vector<SimJob> diff_batch_jobs(
     const DiffCampaignConfig& cfg);
+
+/// Identity hash of everything that shapes a diff batch's verdicts: seed,
+/// count, inject, min/max sessions. `repro_dir` only decides where
+/// reproducers go and is left out.
+[[nodiscard]] std::uint64_t diff_config_hash(const DiffCampaignConfig& cfg);
+
+/// One completed diff scenario: enough to re-emit its verdict line and fold
+/// it into the diff summary without running it again.
+struct DiffScenario {
+    bool passed = false;
+    std::map<std::string, double> metrics;  ///< JobReport::metrics
+    std::string verdict_line;               ///< to_verdict_line, batch index
+};
+
+/// Progress of a diff batch: its completed scenarios by batch index. The
+/// saved blob is a ckpt::Saver container whose manifest pins
+/// diff_config_hash, so progress never resumes a different batch.
+struct DiffProgress {
+    std::map<std::uint32_t, DiffScenario> done;
+
+    [[nodiscard]] std::string save(const DiffCampaignConfig& cfg) const;
+    /// Replace `done` from a save() blob. False (with *err set) on a
+    /// malformed blob or a config mismatch; `done` is then unspecified.
+    [[nodiscard]] bool restore(const std::string& blob,
+                               const DiffCampaignConfig& cfg,
+                               std::string* err);
+};
+
+/// Restore `progress` from the campaign state file at `path`; the same
+/// contract as resume_closure.
+[[nodiscard]] StateRead resume_diff(DiffProgress& progress,
+                                    const DiffCampaignConfig& cfg,
+                                    const std::string& path,
+                                    std::string* err);
+
+/// Run the scenarios of diff_batch_jobs(cfg) that `progress` does not hold
+/// and add each one as it completes. Each job reaches rc.on_record and
+/// rc.jsonl_path with its batch index. With a non-empty `state_path`, the
+/// file is rewritten after every completed scenario, the last included.
+/// False (with *err set) when a write failed; the batch still runs to the
+/// end, but the file stops advancing.
+[[nodiscard]] bool run_diff_remaining(const DiffCampaignConfig& cfg,
+                                      const CampaignConfig& rc,
+                                      DiffProgress& progress,
+                                      const std::string& state_path,
+                                      std::string* err);
 
 }  // namespace autovision::campaign

@@ -1,9 +1,11 @@
 #include "closure.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -216,8 +218,9 @@ std::uint64_t closure_config_hash(const ClosureConfig& cc) {
     h = rtlsim::snap_hash64_u64(cc.seed, h);
     h = rtlsim::snap_hash64_u64(cc.batch_size, h);
     h = rtlsim::snap_hash64_u64(cc.max_batches, h);
+    // The bit pattern: a scaled integer cast collides nearby targets.
     h = rtlsim::snap_hash64_u64(
-        static_cast<std::uint64_t>(cc.target_percent * 1024.0), h);
+        std::bit_cast<std::uint64_t>(cc.target_percent), h);
     h = rtlsim::snap_hash64_u64(cc.saturation_batches, h);
     h = rtlsim::snap_hash64_u64(cc.bias ? 1 : 0, h);
     return h;
@@ -380,6 +383,35 @@ bool ClosureLoop::restore(std::istream& is, std::string* err) {
     current_ = (cc_.bias && next_batch_ > 0)
                    ? scen::bias_towards(cc_.base, merged_)
                    : cc_.base;
+    return true;
+}
+
+StateRead resume_closure(ClosureLoop& loop, const std::string& path,
+                         std::string* err) {
+    std::string payload;
+    const StateRead got = read_state_file(path, &payload, err);
+    if (got != StateRead::kLoaded) return got;
+    std::istringstream is(payload);
+    std::string why;
+    if (!loop.restore(is, &why)) {
+        if (err != nullptr) *err = path + ": " + why;
+        return StateRead::kRejected;
+    }
+    return StateRead::kLoaded;
+}
+
+bool run_closure_batches(ClosureLoop& loop, const CampaignConfig& rc,
+                         const std::string& state_path, std::string* err) {
+    while (!loop.done()) {
+        loop.run_batch(rc);
+        if (state_path.empty()) continue;
+        std::ostringstream blob;
+        if (!loop.save(blob)) {
+            if (err != nullptr) *err = state_path + ": closure save failed";
+            return false;
+        }
+        if (!write_state_file(state_path, blob.str(), err)) return false;
+    }
     return true;
 }
 

@@ -21,6 +21,7 @@
 #include "cover/model.hpp"
 #include "runner.hpp"
 #include "scen/scenario.hpp"
+#include "state_file.hpp"
 
 namespace autovision::campaign {
 
@@ -68,7 +69,7 @@ struct ClosureResult {
     std::shared_ptr<const std::string> boot = nullptr);
 
 /// The closure loop, one batch at a time — the stepping form run_closure()
-/// wraps and the campaign service resumes across process restarts.
+/// wraps and `campaign_runner --state` resumes across process restarts.
 ///
 /// Everything a batch contributes is deterministic given (config, batch
 /// index): scenario seeds depend only on (seed, batch, index), the coverage
@@ -77,8 +78,8 @@ struct ClosureResult {
 /// therefore just the merged counters plus a few scalars; save() emits it
 /// as a ckpt-section blob and restore() rebuilds the loop mid-campaign,
 /// after which the remaining batches produce cover/verdict output
-/// byte-identical to an uninterrupted run (pinned by SvcClosureLoop tests
-/// and the CI service smoke).
+/// byte-identical to an uninterrupted run (pinned by the SvcClosureLoop and
+/// ClosureStateFile tests and by tools/resume_smoke.sh).
 class ClosureLoop {
 public:
     explicit ClosureLoop(ClosureConfig cc);
@@ -138,6 +139,21 @@ private:
 /// Identity hash of the parameters that shape a closure campaign; a saved
 /// loop blob only restores into a loop built from an identical config.
 [[nodiscard]] std::uint64_t closure_config_hash(const ClosureConfig& cc);
+
+/// Restore `loop` from the campaign state file at `path`. kAbsent leaves
+/// the loop untouched. kRejected (bad frame, failed restore, config
+/// mismatch) sets *err; the loop is then unusable and the file untouched.
+[[nodiscard]] StateRead resume_closure(ClosureLoop& loop,
+                                       const std::string& path,
+                                       std::string* err);
+
+/// Run the remaining batches of `loop`. With a non-empty `state_path`, the
+/// file is rewritten with loop.save() after every completed batch, the
+/// last included. False (with *err set) when a save or write fails.
+[[nodiscard]] bool run_closure_batches(ClosureLoop& loop,
+                                       const CampaignConfig& rc,
+                                       const std::string& state_path,
+                                       std::string* err);
 
 /// Run the closure loop to completion. `rc` configures the per-batch
 /// worker pool.

@@ -351,10 +351,9 @@ TEST(CampaignSink, ConcurrentCampaignLeavesParseableFile) {
     std::remove(path.c_str());
 }
 
-// Hammer one sink directly from many writer threads — the shape the
-// campaign service produces, where every connected client's jobs feed one
-// mirror file. A record is written whole or not at all: no line may ever
-// contain fragments of two records.
+// Hammer one sink directly from many writer threads, far more than a
+// campaign's worker pool. A record is written whole or not at all: no line
+// may ever contain fragments of two records.
 TEST(CampaignSink, ManyConcurrentWritersNeverInterleave) {
     const std::string path =
         ::testing::TempDir() + "/campaign_sink_hammer.jsonl";

@@ -1,20 +1,30 @@
 // The coverage-closure loop: determinism across worker interleavings,
 // saturation/stop conditions, and the acceptance property — with the same
 // seed and the same scenario budget, the coverage-biased arm hits strictly
-// more goal bins than the pure-random control arm.
+// more goal bins than the pure-random control arm. Also the loop's
+// save/restore and the crash-safe `--state` file that carries it.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
+#include "campaign/campaigns.hpp"
 #include "campaign/closure.hpp"
+#include "campaign/state_file.hpp"
 
 namespace {
 
 using namespace autovision;
 using campaign::CampaignConfig;
 using campaign::ClosureConfig;
+using campaign::ClosureLoop;
 using campaign::ClosureResult;
+using campaign::StateRead;
+
+namespace fs = std::filesystem;
 
 scen::ScenarioConstraints streams_only() {
     scen::ScenarioConstraints c;
@@ -177,6 +187,281 @@ TEST(Closure, BiasedArmBeatsEqualBudgetPureRandom) {
            "pure random at equal budget (biased "
         << b.merged.percent() << "% vs random " << r.merged.percent()
         << "%)";
+}
+
+TEST(Closure, ConfigHashSeesEveryBitOfTheTarget) {
+    // The hash folds target_percent's bit pattern: a scaled integer cast
+    // collided 95.0 with 95.0004 (and was UB for out-of-range values).
+    ClosureConfig a;
+    a.target_percent = 95.0;
+    ClosureConfig b = a;
+    b.target_percent = 95.0004;
+    EXPECT_NE(campaign::closure_config_hash(a),
+              campaign::closure_config_hash(b));
+    EXPECT_EQ(campaign::closure_config_hash(a),
+              campaign::closure_config_hash(ClosureConfig(a)));
+}
+
+// --- closure loop save/restore ---------------------------------------------
+
+ClosureConfig tiny_closure() {
+    ClosureConfig cc;
+    cc.seed = 5;
+    cc.batch_size = 3;
+    cc.max_batches = 3;
+    cc.target_percent = 101.0;  // never stops on target
+    return cc;
+}
+
+std::string cover_json(const ClosureLoop& loop) {
+    std::ostringstream os;
+    loop.merged().write_json(os);
+    return os.str();
+}
+
+// A loop saved after batch 1 and restored into a fresh instance must
+// finish with byte-identical verdicts, coverage, and batch summaries —
+// the in-process version of the kill -9 smoke.
+TEST(SvcClosureLoop, SaveRestoreByteIdenticalToUninterrupted) {
+    CampaignConfig rc;
+    rc.jobs = 2;
+
+    ClosureLoop straight(tiny_closure());
+    while (!straight.done()) straight.run_batch(rc);
+
+    ClosureLoop first(tiny_closure());
+    ASSERT_FALSE(first.done());
+    first.run_batch(rc);
+    std::ostringstream blob;
+    ASSERT_TRUE(first.save(blob));
+
+    ClosureLoop resumed(tiny_closure());
+    std::istringstream is(blob.str());
+    std::string err;
+    ASSERT_TRUE(resumed.restore(is, &err)) << err;
+    EXPECT_EQ(resumed.next_batch(), 1u);
+    while (!resumed.done()) resumed.run_batch(rc);
+
+    EXPECT_EQ(resumed.verdicts(), straight.verdicts());
+    EXPECT_EQ(cover_json(resumed), cover_json(straight));
+    ASSERT_EQ(resumed.batches().size(), straight.batches().size());
+    for (std::size_t i = 0; i < straight.batches().size(); ++i) {
+        EXPECT_EQ(resumed.batches()[i].goal_hit,
+                  straight.batches()[i].goal_hit)
+            << "batch " << i;
+        EXPECT_EQ(resumed.batches()[i].percent,
+                  straight.batches()[i].percent)
+            << "batch " << i;
+    }
+    EXPECT_EQ(resumed.scenarios_run(), straight.scenarios_run());
+}
+
+TEST(SvcClosureLoop, RestoreRejectsMismatchedConfig) {
+    CampaignConfig rc;
+    rc.jobs = 2;
+    ClosureLoop loop(tiny_closure());
+    loop.run_batch(rc);
+    std::ostringstream blob;
+    ASSERT_TRUE(loop.save(blob));
+
+    ClosureConfig other = tiny_closure();
+    other.seed = 6;  // a different campaign
+    ClosureLoop wrong(other);
+    std::istringstream is(blob.str());
+    std::string err;
+    EXPECT_FALSE(wrong.restore(is, &err));
+    EXPECT_FALSE(err.empty());
+
+    ClosureLoop garbage(tiny_closure());
+    std::istringstream bad("not a checkpoint");
+    EXPECT_FALSE(garbage.restore(bad, &err));
+}
+
+// --- the --state file ------------------------------------------------------
+
+/// Cold boots keep a fresh loop cheap enough to build once per mutation.
+ClosureConfig state_closure() {
+    ClosureConfig cc = tiny_closure();
+    cc.batch_size = 2;
+    cc.max_batches = 2;
+    cc.warm_start = false;
+    return cc;
+}
+
+fs::path fresh_dir(const std::string& leaf) {
+    const fs::path d = fs::path(::testing::TempDir()) / ("closure_" + leaf);
+    fs::remove_all(d);
+    fs::create_directories(d);
+    return d;
+}
+
+std::string read_file(const fs::path& p) {
+    std::ifstream is(p, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
+void write_file(const fs::path& p, const std::string& bytes) {
+    std::ofstream os(p, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A finished state_closure() campaign's state file, as bytes.
+std::string finished_state(const fs::path& dir) {
+    CampaignConfig rc;
+    rc.jobs = 2;
+    ClosureLoop loop(state_closure());
+    std::string err;
+    EXPECT_TRUE(campaign::run_closure_batches(loop, rc, (dir / "done").string(),
+                                              &err))
+        << err;
+    return read_file(dir / "done");
+}
+
+/// `bytes` as a state file must be rejected with a reason, leave a fresh
+/// loop unresumed, and stay byte-for-byte on disk.
+void expect_rejected(const fs::path& path, const std::string& bytes,
+                     const std::string& what) {
+    write_file(path, bytes);
+    ClosureLoop loop(state_closure());
+    std::string err;
+    EXPECT_EQ(campaign::resume_closure(loop, path.string(), &err),
+              StateRead::kRejected)
+        << what;
+    EXPECT_FALSE(err.empty()) << what;
+    EXPECT_EQ(loop.next_batch(), 0u) << what;
+    EXPECT_EQ(read_file(path), bytes) << what;
+}
+
+// The crash-safety contract, exhaustively: a state file cut at any byte
+// offset is never resumed.
+TEST(ClosureStateFile, TruncatedAtEveryByteOffsetIsRejected) {
+    const fs::path dir = fresh_dir("state_trunc");
+    const std::string full = finished_state(dir);
+    ASSERT_GT(full.size(), 16u);
+    EXPECT_FALSE(fs::exists(dir / "done.tmp"));
+    for (std::size_t cut = 0; cut < full.size(); ++cut) {
+        expect_rejected(dir / "cut", full.substr(0, cut),
+                        "cut at " + std::to_string(cut));
+    }
+    // Trailing bytes are no more a valid frame than missing ones.
+    expect_rejected(dir / "cut", full + '\0', "one trailing byte");
+}
+
+// Header (magic, length, checksum) and payload bytes alike: one flipped
+// byte anywhere must fail the frame check.
+TEST(ClosureStateFile, SingleByteFlipInHeaderOrPayloadIsRejected) {
+    const fs::path dir = fresh_dir("state_flip");
+    const std::string full = finished_state(dir);
+    for (std::size_t at = 0; at < full.size(); ++at) {
+        std::string bad = full;
+        bad[at] = static_cast<char>(bad[at] ^ 0x20);
+        expect_rejected(dir / "flip", bad,
+                        "flip at " + std::to_string(at));
+    }
+}
+
+TEST(ClosureStateFile, StateOfAnotherCampaignIsRejected) {
+    const fs::path dir = fresh_dir("state_foreign");
+    const std::string full = finished_state(dir);
+
+    ClosureConfig other = state_closure();
+    other.seed = 6;
+    write_file(dir / "foreign", full);
+    ClosureLoop loop(other);
+    std::string err;
+    EXPECT_EQ(campaign::resume_closure(loop, (dir / "foreign").string(), &err),
+              StateRead::kRejected);
+    EXPECT_NE(err.find("config hash mismatch"), std::string::npos) << err;
+    EXPECT_EQ(loop.next_batch(), 0u);
+    EXPECT_EQ(read_file(dir / "foreign"), full);
+
+    // A diff campaign's progress is a valid frame, but not a closure state.
+    campaign::DiffCampaignConfig dc;
+    campaign::DiffProgress progress;
+    std::string diff_err;
+    ASSERT_TRUE(campaign::write_state_file((dir / "diff").string(),
+                                           progress.save(dc), &diff_err))
+        << diff_err;
+    ClosureLoop other_kind(state_closure());
+    EXPECT_EQ(campaign::resume_closure(other_kind, (dir / "diff").string(),
+                                       &err),
+              StateRead::kRejected);
+}
+
+TEST(ClosureStateFile, MissingFileIsAFreshStart) {
+    const fs::path dir = fresh_dir("state_missing");
+    ClosureLoop loop(state_closure());
+    std::string err;
+    EXPECT_EQ(campaign::resume_closure(loop, (dir / "none").string(), &err),
+              StateRead::kAbsent);
+    EXPECT_TRUE(err.empty()) << err;
+    EXPECT_EQ(loop.next_batch(), 0u);
+    EXPECT_FALSE(fs::exists(dir / "none"));
+}
+
+// A length field past the payload bound is refused before anything is
+// allocated for it, whatever follows.
+TEST(ClosureStateFile, ShortOrOversizedFrameIsRejected) {
+    const fs::path dir = fresh_dir("state_oversized");
+    const std::string full = finished_state(dir);
+    expect_rejected(dir / "bad", "", "empty file");
+    expect_rejected(dir / "bad", full.substr(0, 15), "15-byte header");
+    for (const std::uint32_t len : {campaign::kMaxStatePayload + 1,
+                                    std::uint32_t{0xFFFF'FFFF}}) {
+        std::string bad = full;
+        for (int i = 0; i < 4; ++i) {
+            bad[4 + i] = static_cast<char>(len >> (24 - 8 * i));
+        }
+        expect_rejected(dir / "bad", bad, "length " + std::to_string(len));
+    }
+}
+
+// Kill after batch 1, resume from the file: the same bytes as one
+// uninterrupted run. Resuming the finished file again runs no scenario
+// and re-emits the same artifacts.
+TEST(ClosureStateFile, ResumeAndFinishedStateMatchUninterrupted) {
+    const fs::path dir = fresh_dir("state_resume");
+    CampaignConfig rc;
+    rc.jobs = 2;
+    ClosureLoop straight(state_closure());
+    while (!straight.done()) straight.run_batch(rc);
+
+    const std::string path = (dir / "state").string();
+    std::string err;
+    {
+        ClosureLoop killed(state_closure());
+        killed.run_batch(rc);
+        std::ostringstream blob;
+        ASSERT_TRUE(killed.save(blob));
+        ASSERT_TRUE(campaign::write_state_file(path, blob.str(), &err)) << err;
+    }
+    {
+        ClosureLoop resumed(state_closure());
+        ASSERT_EQ(campaign::resume_closure(resumed, path, &err),
+                  StateRead::kLoaded)
+            << err;
+        EXPECT_EQ(resumed.next_batch(), 1u);
+        ASSERT_TRUE(campaign::run_closure_batches(resumed, rc, path, &err))
+            << err;
+        EXPECT_EQ(resumed.verdicts(), straight.verdicts());
+        EXPECT_EQ(cover_json(resumed), cover_json(straight));
+    }
+    const std::string finished = read_file(path);
+
+    ClosureLoop again(state_closure());
+    ASSERT_EQ(campaign::resume_closure(again, path, &err), StateRead::kLoaded)
+        << err;
+    EXPECT_TRUE(again.done());
+    std::atomic<unsigned> ran{0};
+    CampaignConfig counting = rc;
+    counting.on_record = [&](const campaign::JobRecord&) { ++ran; };
+    ASSERT_TRUE(campaign::run_closure_batches(again, counting, path, &err));
+    EXPECT_EQ(ran.load(), 0u);
+    EXPECT_EQ(again.verdicts(), straight.verdicts());
+    EXPECT_EQ(cover_json(again), cover_json(straight));
+    EXPECT_EQ(read_file(path), finished);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Tests for the differential VM-vs-ReSim oracle (src/diff): side drivers
 // and classification, the delta-debugging shrinker, the reproducer
-// artifacts, and the diff campaign (including its watchdog behaviour).
+// artifacts, and the diff campaign (including its watchdog behaviour and
+// its resumable progress).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -13,6 +15,7 @@
 
 #include "campaign/campaigns.hpp"
 #include "campaign/runner.hpp"
+#include "campaign/state_file.hpp"
 #include "diff/classify.hpp"
 #include "diff/repro.hpp"
 #include "diff/shrink.hpp"
@@ -23,9 +26,11 @@ using campaign::CampaignConfig;
 using campaign::CampaignResult;
 using campaign::CampaignRunner;
 using campaign::DiffCampaignConfig;
+using campaign::DiffProgress;
 using campaign::JobRecord;
 using campaign::JobStatus;
 using campaign::SimJob;
+using campaign::StateRead;
 
 namespace fs = std::filesystem;
 
@@ -478,4 +483,127 @@ TEST(DiffCampaign, WatchdogKillsHangingDiffJobAndRetries) {
     EXPECT_EQ(r.status, JobStatus::kTimeout);
     EXPECT_EQ(r.attempts, 3u);  // 1 initial + 2 retries
     EXPECT_FALSE(r.passed());
+}
+
+// ---------------------------------------------------------------------------
+// Resumable progress and the --state file
+
+namespace {
+
+std::vector<std::string> verdict_lines(const DiffProgress& p) {
+    std::vector<std::string> lines;
+    for (const auto& [index, d] : p.done) lines.push_back(d.verdict_line);
+    return lines;
+}
+
+}  // namespace
+
+TEST(SvcExec, DiffResumeFromCheckpointByteIdentical) {
+    DiffCampaignConfig cfg;
+    cfg.seed = 9;
+    cfg.count = 4;
+    CampaignConfig rc;
+    rc.jobs = 2;
+    const std::string path = (fresh_dir("diff_resume") / "state").string();
+
+    DiffProgress full;
+    std::string err;
+    ASSERT_TRUE(campaign::run_diff_remaining(cfg, rc, full, path, &err))
+        << err;
+    ASSERT_EQ(full.done.size(), 4u);
+    DiffProgress reread;
+    ASSERT_EQ(campaign::resume_diff(reread, cfg, path, &err),
+              StateRead::kLoaded)
+        << err;
+    EXPECT_EQ(verdict_lines(reread), verdict_lines(full));
+
+    // Killed with scenarios 0 and 2 done: only 1 and 3 rerun, under their
+    // batch indices, and the merged verdict lines are identical.
+    DiffProgress partial = full;
+    partial.done.erase(1);
+    partial.done.erase(3);
+    ASSERT_TRUE(campaign::write_state_file(path, partial.save(cfg), &err))
+        << err;
+    DiffProgress resumed;
+    ASSERT_EQ(campaign::resume_diff(resumed, cfg, path, &err),
+              StateRead::kLoaded)
+        << err;
+    EXPECT_EQ(resumed.done.size(), 2u);
+    std::vector<std::size_t> reran;
+    CampaignConfig counting = rc;
+    counting.on_record = [&](const JobRecord& r) { reran.push_back(r.index); };
+    ASSERT_TRUE(
+        campaign::run_diff_remaining(cfg, counting, resumed, path, &err))
+        << err;
+    std::sort(reran.begin(), reran.end());
+    EXPECT_EQ(reran, (std::vector<std::size_t>{1, 3}));
+    EXPECT_EQ(verdict_lines(resumed), verdict_lines(full));
+    for (const auto& [index, d] : full.done) {
+        EXPECT_EQ(resumed.done.at(index).passed, d.passed) << index;
+        EXPECT_EQ(resumed.done.at(index).metrics, d.metrics) << index;
+    }
+
+    // Progress of a differently parameterised batch is rejected, never
+    // silently restarted.
+    DiffCampaignConfig other = cfg;
+    other.seed = 10;
+    DiffProgress cross;
+    EXPECT_EQ(campaign::resume_diff(cross, other, path, &err),
+              StateRead::kRejected);
+    EXPECT_NE(err.find("config hash mismatch"), std::string::npos) << err;
+}
+
+TEST(DiffStateFile, FinishedStateRunsNothingAndReemitsVerdicts) {
+    DiffCampaignConfig cfg;
+    cfg.seed = 4;
+    cfg.count = 2;
+    CampaignConfig rc;
+    rc.jobs = 2;
+    const std::string path = (fresh_dir("diff_finished") / "state").string();
+    DiffProgress first;
+    std::string err;
+    ASSERT_TRUE(campaign::run_diff_remaining(cfg, rc, first, path, &err))
+        << err;
+    const std::string bytes = slurp(path);
+
+    DiffProgress again;
+    ASSERT_EQ(campaign::resume_diff(again, cfg, path, &err),
+              StateRead::kLoaded)
+        << err;
+    unsigned ran = 0;
+    rc.on_record = [&](const JobRecord&) { ++ran; };
+    ASSERT_TRUE(campaign::run_diff_remaining(cfg, rc, again, path, &err));
+    EXPECT_EQ(ran, 0u);
+    EXPECT_EQ(verdict_lines(again), verdict_lines(first));
+    EXPECT_EQ(slurp(path), bytes);
+}
+
+TEST(DiffStateFile, ConfigHashCoversEveryVerdictShapingField) {
+    const DiffCampaignConfig base;
+    const std::uint64_t h = campaign::diff_config_hash(base);
+    DiffCampaignConfig c = base;
+    c.repro_dir = "elsewhere";  // where reproducers go, not what they say
+    EXPECT_EQ(campaign::diff_config_hash(c), h);
+
+    std::vector<DiffCampaignConfig> changed(5, base);
+    changed[0].seed = 2;
+    changed[1].count = 21;
+    changed[2].inject = diff::DiffFault::kIsolationMissing;
+    changed[3].min_sessions = 2;
+    changed[4].max_sessions = 4;
+    for (std::size_t i = 0; i < changed.size(); ++i) {
+        EXPECT_NE(campaign::diff_config_hash(changed[i]), h) << i;
+    }
+}
+
+TEST(DiffStateFile, RestoreRejectsAScenarioOutsideTheBatch) {
+    DiffCampaignConfig cfg;
+    cfg.count = 4;
+    DiffProgress lying;
+    lying.done[4].verdict_line = "{}";
+    DiffProgress restored;
+    std::string err;
+    EXPECT_FALSE(restored.restore(lying.save(cfg), cfg, &err));
+    EXPECT_FALSE(err.empty());
+    EXPECT_FALSE(restored.restore("not a checkpoint", cfg, &err));
 }
