@@ -36,7 +36,7 @@ SystemConfig bench_config() {
 
 constexpr rtlsim::Time kQuantum = 32 * 10 * rtlsim::NS;
 // Default save depth: past the first frame's census job and the first DPR
-// session — the prefix a closure/diff job would actually fork over.
+// session, so a restore has real simulation work to skip.
 constexpr unsigned long long kPrefixCycles = 30000;
 
 /// Boot, inject frame 0 and simulate to the save point — the prefix every

@@ -406,13 +406,9 @@ std::vector<SimJob> diff_batch_jobs(const DiffCampaignConfig& cfg) {
                       {"inject", diff::to_string(cfg.inject)}};
         job.body = [cfg, cons, seed, name](const JobContext& ctx) {
             JobReport rep;
-            // One boot-snapshot cache per job: the initial differential run
-            // fills it, the shrinker's replays fork from it.
-            diff::BootCache boot;
             diff::DiffOptions dopt;
             dopt.inject = cfg.inject;
             dopt.cancel = ctx.cancel_flag();
-            dopt.boot = &boot;
             const scen::Scenario sc = scen::generate(cons, seed);
             const diff::DiffOutcome out = diff::run_diff(sc, dopt);
             rep.stats = out.vm.stats;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -19,10 +18,9 @@ namespace autovision::campaign {
 
 namespace {
 
-JobReport run_stream_job(const scen::Scenario& s, const JobContext& ctx,
-                         const std::string* boot) {
+JobReport run_stream_job(const scen::Scenario& s, const JobContext& ctx) {
     const scen::StreamResult r =
-        scen::run_stream_scenario(s, ctx.cancel_flag(), boot);
+        scen::run_stream_scenario(s, ctx.cancel_flag());
     JobReport rep;
     rep.coverage = cover::make_model();
     cover::observe_events(rep.coverage, r.events, r.clk_period);
@@ -161,8 +159,7 @@ JobReport run_fault_job(const scen::Scenario& s, const JobContext& ctx) {
 
 }  // namespace
 
-std::vector<SimJob> scenario_jobs(const std::vector<scen::Scenario>& batch,
-                                  std::shared_ptr<const std::string> boot) {
+std::vector<SimJob> scenario_jobs(const std::vector<scen::Scenario>& batch) {
     std::vector<SimJob> jobs;
     jobs.reserve(batch.size());
     for (const scen::Scenario& s : batch) {
@@ -176,11 +173,8 @@ std::vector<SimJob> scenario_jobs(const std::vector<scen::Scenario>& batch,
             case scen::Kind::kStream:
                 job.params["kind"] = "stream";
                 job.params["sessions"] = std::to_string(s.sessions.size());
-                // The shared_ptr keeps the boot blob alive for the worker
-                // pool's lifetime; jobs only ever read it.
-                job.body = [s, boot](const JobContext& ctx) {
-                    return run_stream_job(s, ctx,
-                                          boot ? boot.get() : nullptr);
+                job.body = [s](const JobContext& ctx) {
+                    return run_stream_job(s, ctx);
                 };
                 break;
             case scen::Kind::kSystem:
@@ -229,14 +223,6 @@ std::uint64_t closure_config_hash(const ClosureConfig& cc) {
 ClosureLoop::ClosureLoop(ClosureConfig cc) : cc_(std::move(cc)) {
     merged_ = cover::make_model();
     current_ = cc_.base;
-    // One boot snapshot amortized over every kStream job of the campaign:
-    // the stream testbench's elaborate+reset prefix is scenario-independent,
-    // so each job forks from the blob instead of re-simulating it.
-    if (cc_.warm_start) {
-        boot_ = std::make_shared<const std::string>(
-            cc_.boot_blob.empty() ? scen::stream_boot_snapshot()
-                                  : cc_.boot_blob);
-    }
 }
 
 bool ClosureLoop::done() const noexcept {
@@ -248,7 +234,7 @@ BatchSummary ClosureLoop::run_batch(const CampaignConfig& rc) {
     const std::vector<scen::Scenario> batch =
         scen::generate_batch(current_, cc_.seed, b, cc_.batch_size);
     CampaignRunner runner(rc);
-    CampaignResult cres = runner.run(scenario_jobs(batch, boot_));
+    CampaignResult cres = runner.run(scenario_jobs(batch));
 
     for (JobRecord& rec : cres.records) {
         if (rec.report.coverage.same_shape(merged_)) {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,15 +32,6 @@ struct ClosureConfig {
     double target_percent = 95.0;    ///< stop when merged coverage reaches it
     unsigned saturation_batches = 2; ///< stop after N batches with no new bins
     bool bias = true;                ///< false: pure-random control arm
-    /// Take one stream-testbench boot snapshot up front and fork every
-    /// kStream job from it instead of re-simulating the elaborate+reset
-    /// prefix per job. Behaviour-neutral (the restored state is bit-exact,
-    /// pinned by the ckpt invariance suite); off = always boot cold.
-    bool warm_start = true;
-    /// Externally supplied boot snapshot (campaign_runner --ckpt-in).
-    /// Empty: warm_start generates one internally. A stale blob is
-    /// rejected per job and falls back to a cold boot.
-    std::string boot_blob;
 };
 
 struct BatchSummary {
@@ -61,12 +51,9 @@ struct ClosureResult {
 };
 
 /// One SimJob per scenario; each job runs its scenario in isolation and
-/// returns a coverage shard in JobReport::coverage. `boot` (optional) is a
-/// shared stream-testbench boot snapshot; kStream jobs restore from it
-/// instead of re-simulating the boot prefix (see ClosureConfig::warm_start).
+/// returns a coverage shard in JobReport::coverage.
 [[nodiscard]] std::vector<SimJob> scenario_jobs(
-    const std::vector<scen::Scenario>& batch,
-    std::shared_ptr<const std::string> boot = nullptr);
+    const std::vector<scen::Scenario>& batch);
 
 /// The closure loop, one batch at a time — the stepping form run_closure()
 /// wraps and `campaign_runner --state` resumes across process restarts.
@@ -122,7 +109,6 @@ public:
 
 private:
     ClosureConfig cc_;
-    std::shared_ptr<const std::string> boot_;
     scen::ScenarioConstraints current_;
     cover::Coverage merged_;
     std::vector<BatchSummary> batches_;

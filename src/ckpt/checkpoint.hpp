@@ -13,8 +13,8 @@
 // Sections are written and restored in a fixed order chosen by the system
 // (kernel core, clocks, per-module POD, signals last), so two checkpoints
 // of identical simulator states are identical byte strings — the property
-// the warm-start consumers (closure campaign, diff oracle, shrinker) and
-// `tools/ckpt_inspect.py` rely on.
+// the warm==cold invariance suite, the `campaign_runner --ckpt-at` digest
+// and `tools/ckpt_inspect.py` rely on.
 //
 // Restore model: state is restored into a *freshly elaborated* system of
 // the identical configuration (that is what the config hash pins). Pending
@@ -41,17 +41,6 @@ struct Manifest {
     std::uint32_t format_version = kFormatVersion;
     std::uint64_t config_hash = 0;
     std::uint64_t sim_time = 0;
-};
-
-/// Interface a module implements to participate in a checkpoint. The
-/// system's save/restore walks its modules in elaboration order; each
-/// serializes only non-signal state (signal values are captured wholesale
-/// by the scheduler's signal registry).
-class Checkpointable {
-public:
-    virtual ~Checkpointable() = default;
-    virtual void ckpt_save(rtlsim::SnapWriter& w) const = 0;
-    [[nodiscard]] virtual bool ckpt_restore(rtlsim::SnapReader& r) = 0;
 };
 
 /// Accumulates named sections and writes the final blob.
@@ -106,14 +95,5 @@ private:
     std::vector<std::pair<std::string, std::vector<std::uint8_t>>> sections_;
     std::string error_;
 };
-
-/// Restore one named section into a Checkpointable-shaped target (anything
-/// with a ckpt_restore(SnapReader&)); the common step of a restore walk.
-template <typename T>
-[[nodiscard]] bool restore_section(Loader& loader, const std::string& name,
-                                   T& target) {
-    rtlsim::SnapReader r = loader.reader(name);
-    return target.ckpt_restore(r);
-}
 
 }  // namespace autovision::ckpt

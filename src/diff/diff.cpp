@@ -1,11 +1,6 @@
 #include "diff.hpp"
 
-#include <functional>
-#include <memory>
-#include <sstream>
-
 #include "bus/dcr.hpp"
-#include "ckpt/checkpoint.hpp"
 #include "bus/memory.hpp"
 #include "bus/plb.hpp"
 #include "engines/census_engine.hpp"
@@ -119,67 +114,6 @@ struct Fixture {
 
     void run_cycles(unsigned n) { sch.run_until(sch.now() + n * kClk); }
 
-    /// Serialize the boot state (reset settled, bus idle) plus the side's
-    /// own artifact sections via `extra`. Fills `out`; false = not at a
-    /// snapshottable point (left empty, the caller stays on the cold path).
-    [[nodiscard]] bool save_boot(
-        std::string& out, std::uint64_t hash,
-        const std::function<void(ckpt::Saver&)>& extra) const {
-        if (!sch.ckpt_quiescent() || dcr.busy()) return false;
-        ckpt::Saver saver(
-            ckpt::Manifest{ckpt::kFormatVersion, hash, sch.now()});
-        sch.ckpt_save(saver.section("kernel"));
-        clk.ckpt_save(saver.section("clock"));
-        rst.ckpt_save(saver.section("reset"));
-        mem.ckpt_save(saver.section("memory"));
-        plb.ckpt_save(saver.section("plb"));
-        dcr.ckpt_save(saver.section("dcr"));
-        iso.ckpt_save(saver.section("iso"));
-        cie_regs.ckpt_save(saver.section("cie_regs"));
-        me_regs.ckpt_save(saver.section("me_regs"));
-        cie.ckpt_save(saver.section("cie"));
-        me.ckpt_save(saver.section("me"));
-        rr.ckpt_save(saver.section("rr"));
-        rec.ckpt_save(saver.section("recorder"));
-        extra(saver);
-        sch.ckpt_save_signals(saver.section("signals"));
-        std::ostringstream os;
-        if (!saver.write_to(os)) return false;
-        out = os.str();
-        return true;
-    }
-
-    /// Restore a save_boot blob into this freshly elaborated fixture.
-    [[nodiscard]] bool restore_boot(
-        const std::string& blob, std::uint64_t hash,
-        const std::function<bool(ckpt::Loader&)>& extra) {
-        std::istringstream is(blob);
-        ckpt::Loader loader;
-        if (!loader.load(is, hash)) return false;
-        {
-            rtlsim::SnapReader r = loader.reader("kernel");
-            if (!sch.ckpt_restore(r)) return false;
-        }
-        if (!ckpt::restore_section(loader, "clock", clk)) return false;
-        if (!ckpt::restore_section(loader, "reset", rst)) return false;
-        if (!ckpt::restore_section(loader, "memory", mem)) return false;
-        if (!ckpt::restore_section(loader, "plb", plb)) return false;
-        if (!ckpt::restore_section(loader, "dcr", dcr)) return false;
-        if (!ckpt::restore_section(loader, "iso", iso)) return false;
-        if (!ckpt::restore_section(loader, "cie_regs", cie_regs)) return false;
-        if (!ckpt::restore_section(loader, "me_regs", me_regs)) return false;
-        if (!ckpt::restore_section(loader, "cie", cie)) return false;
-        if (!ckpt::restore_section(loader, "me", me)) return false;
-        if (!ckpt::restore_section(loader, "rr", rr)) return false;
-        if (!ckpt::restore_section(loader, "recorder", rec)) return false;
-        if (!extra(loader)) return false;
-        {
-            rtlsim::SnapReader r = loader.reader("signals");
-            if (!sch.ckpt_restore_signals(r)) return false;
-        }
-        return true;
-    }
-
     [[nodiscard]] bool cancelled(const DiffOptions& opt) const {
         return opt.cancel != nullptr &&
                opt.cancel->load(std::memory_order_relaxed);
@@ -276,35 +210,13 @@ SideRun run_vm_side(const scen::Scenario& s, const DiffOptions& opt) {
     // drives idle levels, never X.
     f.rr.set_unselected_policy(RrBoundary::UnselectedPolicy::kIdle);
 
-    // The injected fault is folded into the blob identity: a boot saved
-    // with the signature initialised must never restore into a
-    // kVmNoSigInit elaboration (and vice versa).
-    const std::uint64_t hash = rtlsim::snap_hash64_u64(
-        static_cast<std::uint64_t>(opt.inject),
-        rtlsim::snap_hash64("autovision.difftb.vm.v1"));
-    std::string* cached =
-        opt.boot != nullptr
-            ? &opt.boot->vm[static_cast<std::size_t>(opt.inject)]
-            : nullptr;
-    const auto restore_vmux = [&](ckpt::Loader& l) {
-        return ckpt::restore_section(l, "vmux", vmux);
-    };
-    if (cached == nullptr || cached->empty() ||
-        !f.restore_boot(*cached, hash, restore_vmux)) {
-        if (opt.inject != DiffFault::kVmNoSigInit) {
-            // The boot firmware's engine_signature initialisation — exactly
-            // the write bug.hw.2 forgets. Like the system's power-on
-            // configuration it happens at elaboration, before the first
-            // delta cycle.
-            vmux.dcr_write(sys::kDcrSig, Word{1});
-        }
-        f.sch.run_until(8 * kClk);  // reset settles
-        if (cached != nullptr) {
-            (void)f.save_boot(*cached, hash, [&](ckpt::Saver& sv) {
-                vmux.ckpt_save(sv.section("vmux"));
-            });
-        }
+    if (opt.inject != DiffFault::kVmNoSigInit) {
+        // The boot firmware's engine_signature initialisation — exactly the
+        // write bug.hw.2 forgets. Like the system's power-on configuration
+        // it happens at elaboration, before the first delta cycle.
+        vmux.dcr_write(sys::kDcrSig, Word{1});
     }
+    f.sch.run_until(8 * kClk);  // reset settles
 
     SideRun run;
     run.probes.push_back(f.probe(1, 0, opt));
@@ -351,27 +263,7 @@ SideRun run_resim_side(const scen::Scenario& s, const DiffOptions& opt) {
     // would drive X onto the PLB during reset settle.
     portal.initial_configuration(1, 1);
 
-    const std::uint64_t hash = rtlsim::snap_hash64_u64(
-        static_cast<std::uint64_t>(opt.inject),
-        rtlsim::snap_hash64("autovision.difftb.resim.v1"));
-    std::string* cached =
-        opt.boot != nullptr
-            ? &opt.boot->resim[static_cast<std::size_t>(opt.inject)]
-            : nullptr;
-    const auto restore_artifacts = [&](ckpt::Loader& l) {
-        return ckpt::restore_section(l, "portal", portal) &&
-               ckpt::restore_section(l, "icap", icap);
-    };
-    if (cached == nullptr || cached->empty() ||
-        !f.restore_boot(*cached, hash, restore_artifacts)) {
-        f.sch.run_until(8 * kClk);  // reset settles
-        if (cached != nullptr) {
-            (void)f.save_boot(*cached, hash, [&](ckpt::Saver& sv) {
-                portal.ckpt_save(sv.section("portal"));
-                icap.ckpt_save(sv.section("icap"));
-            });
-        }
-    }
+    f.sch.run_until(8 * kClk);  // reset settles
 
     SideRun run;
     run.probes.push_back(f.probe(1, 0, opt));

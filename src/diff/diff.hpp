@@ -54,18 +54,6 @@ enum class DiffFault : std::uint8_t {
 /// "wrong-module-map"); `ok` reports whether the name was recognised.
 [[nodiscard]] DiffFault fault_from_string(const std::string& s, bool* ok);
 
-/// Warm-start cache for the differential fixtures: one boot snapshot per
-/// (side, injected fault) — the two sides elaborate different netlists, and
-/// an injected fault can change the boot state, so the blobs never mix.
-/// Entries are filled by the first run that needs them and reused by every
-/// later run (the shrinker's dozens of replays fork from here instead of
-/// re-simulating elaborate+reset each time). Not thread-safe: share a cache
-/// only within one worker.
-struct BootCache {
-    std::string vm[static_cast<std::size_t>(DiffFault::kCount)];
-    std::string resim[static_cast<std::size_t>(DiffFault::kCount)];
-};
-
 struct DiffOptions {
     DiffFault inject = DiffFault::kNone;
     /// Cycle budget for one engine probe before giving up on done.
@@ -73,8 +61,6 @@ struct DiffOptions {
     /// Cooperative cancellation (campaign watchdog); polled between SimB
     /// words and probe chunks.
     const std::atomic<bool>* cancel = nullptr;
-    /// Optional externally owned boot-snapshot cache (see BootCache).
-    BootCache* boot = nullptr;
 };
 
 /// Result of one engine probe: did the engine report done, a hash of the

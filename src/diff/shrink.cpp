@@ -113,17 +113,9 @@ scen::Scenario normalize(scen::Scenario s) {
     return s;
 }
 
-ShrinkResult shrink(const scen::Scenario& input, const ShrinkOptions& opt_in) {
+ShrinkResult shrink(const scen::Scenario& input, const ShrinkOptions& opt) {
     ShrinkResult r;
     r.original_words = simb_word_count(input);
-
-    // The shrinker is the heaviest run_diff consumer (up to max_runs
-    // two-sided replays of one scenario), so every replay forks both sides
-    // from cached boot snapshots instead of re-simulating the shared
-    // elaborate+reset prefix. A caller-provided cache is reused as is.
-    BootCache cache;
-    ShrinkOptions opt = opt_in;
-    if (opt.diff.boot == nullptr) opt.diff.boot = &cache;
 
     scen::Scenario cur = normalize(input);
     DiffOutcome cur_out = run_diff(cur, opt.diff);

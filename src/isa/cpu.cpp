@@ -391,12 +391,14 @@ bool PpcCpu::ckpt_restore(rtlsim::SnapReader& r) {
     dcrop_.rt = r.u32();
     if (!host_.ckpt_restore(r)) return false;
     isr_depth_ = r.u32();
-    sleeping_ = r.bool8();
+    // An open sleep window is not restorable: a harness saves with the
+    // window committed (wake_now()), and System never enables sleep.
+    const bool sleeping = r.bool8();
     sleep_len_ = r.u64();
     sleep_start_ = r.u64();
-    const rtlsim::Time wake_time = r.u64();
+    (void)r.u64();  // wake event time: meaningful only inside a window
     const bool wake_pending = r.bool8();
-    if (!r.ok_so_far()) return false;
+    if (!r.ok_so_far() || sleeping || wake_pending) return false;
     if (mem_.rt >= st_.gpr.size() || dcrop_.rt >= st_.gpr.size()) return false;
     if (mem_busy_ != dma_.busy()) return false;
     if (mem_busy_ && mem_.kind == MemOp::Kind::None) return false;
@@ -439,22 +441,9 @@ bool PpcCpu::ckpt_restore(rtlsim::SnapReader& r) {
             case DcrOp::Kind::None: return false;
         }
     }
-    // The decode cache is rebuilt from restored memory (which must restore
-    // before the CPU — the standard section order).
+    // The decode cache is derived from memory: later sleep scans redecode
+    // the restored image.
     cache_.flush();
-    if (sleeping_ != wake_pending) return false;
-    if (sleeping_) {
-        if (gclk_ == nullptr) return false;  // harness must enable_sleep first
-        if (st_.halted) {
-            sleep_end_ = st_;  // idle-spin window
-        } else {
-            sleep_end_ = st_;
-            const ExecResult rr =
-                exec_cached(sleep_end_, cache_, sleep_len_, true);
-            if (rr.executed != sleep_len_) return false;
-        }
-        sch_.schedule_event(wake_time, wake_ev_);
-    }
     return true;
 }
 

@@ -138,9 +138,9 @@ public:
     /// Architectural registers + the pending memory/DCR operation
     /// descriptors; an op that was mid-flight at save time resumes on the
     /// restored bus state with freshly re-armed completion closures. The
-    /// decode cache is never serialized — restore flushes it and redecodes
-    /// from restored memory (memory must restore before the CPU when a
-    /// sleep window is open, so the scratch replay decodes the saved code).
+    /// decode cache is never serialized — restore flushes it. The blob
+    /// records the sleep-window fields, but restore rejects a blob saved
+    /// inside an open window: call wake_now() before saving.
     void ckpt_save(rtlsim::SnapWriter& w) const;
     [[nodiscard]] bool ckpt_restore(rtlsim::SnapReader& r);
 

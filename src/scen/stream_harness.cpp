@@ -1,17 +1,12 @@
 #include "stream_harness.hpp"
 
-#include <sstream>
-#include <utility>
-
 #include "bus/dcr.hpp"
 #include "bus/memory.hpp"
 #include "bus/plb.hpp"
-#include "ckpt/checkpoint.hpp"
 #include "engines/census_engine.hpp"
 #include "engines/engine_regs.hpp"
 #include "engines/matching_engine.hpp"
 #include "kernel/clock.hpp"
-#include "kernel/snapshot.hpp"
 #include "obs/recorder.hpp"
 #include "recon/rr_boundary.hpp"
 #include "resim/icap_artifact.hpp"
@@ -25,16 +20,7 @@ using rtlsim::Time;
 
 constexpr Time kClk = 10 * rtlsim::NS;
 
-/// Config hash pinning the stream testbench's (fixed) elaboration. The
-/// harness has no configuration knobs, so the hash is a version string:
-/// bump the suffix whenever the testbench topology changes, and stale boot
-/// snapshots are rejected instead of restored into the wrong netlist.
-const std::uint64_t kStreamTbHash =
-    rtlsim::snap_hash64("autovision.streamtb.v1");
-
-/// The minimal DPR testbench run_stream_scenario plays scenarios on,
-/// factored out so a boot snapshot (elaborate + reset settle) can be taken
-/// once and restored per job instead of re-simulating the prefix.
+/// The minimal DPR testbench run_stream_scenario plays scenarios on.
 struct StreamTb {
     rtlsim::Scheduler sch;
     rtlsim::Clock clk{sch, "clk", kClk};
@@ -68,87 +54,14 @@ struct StreamTb {
         rr.set_observer(&rec);
         dcr.set_observer(&rec);
     }
-
-    void boot() { sch.run_until(8 * kClk); }  // reset settles
-
-    /// Snapshot at a quiescent, bus-idle point (the boot snapshot). The
-    /// harness never saves with a DCR token or DMA burst in flight, so no
-    /// closure re-arming is needed on restore.
-    [[nodiscard]] bool save(std::ostream& os) const {
-        if (!sch.ckpt_quiescent() || dcr.busy()) return false;
-        ckpt::Saver saver(
-            ckpt::Manifest{ckpt::kFormatVersion, kStreamTbHash, sch.now()});
-        sch.ckpt_save(saver.section("kernel"));
-        clk.ckpt_save(saver.section("clock"));
-        rst.ckpt_save(saver.section("reset"));
-        mem.ckpt_save(saver.section("memory"));
-        plb.ckpt_save(saver.section("plb"));
-        dcr.ckpt_save(saver.section("dcr"));
-        cie_regs.ckpt_save(saver.section("cie_regs"));
-        me_regs.ckpt_save(saver.section("me_regs"));
-        cie.ckpt_save(saver.section("cie"));
-        me.ckpt_save(saver.section("me"));
-        rr.ckpt_save(saver.section("rr"));
-        portal.ckpt_save(saver.section("portal"));
-        icap.ckpt_save(saver.section("icap"));
-        rec.ckpt_save(saver.section("recorder"));
-        sch.ckpt_save_signals(saver.section("signals"));
-        return saver.write_to(os);
-    }
-
-    [[nodiscard]] bool restore(const std::string& blob) {
-        std::istringstream is(blob);
-        ckpt::Loader loader;
-        if (!loader.load(is, kStreamTbHash)) return false;
-        const auto section = [&](const char* name, auto&& target) {
-            rtlsim::SnapReader r = loader.reader(name);
-            return target.ckpt_restore(r);
-        };
-        {
-            rtlsim::SnapReader r = loader.reader("kernel");
-            if (!sch.ckpt_restore(r)) return false;
-        }
-        if (!section("clock", clk)) return false;
-        if (!section("reset", rst)) return false;
-        if (!section("memory", mem)) return false;
-        if (!section("plb", plb)) return false;
-        if (!section("dcr", dcr)) return false;
-        if (!section("cie_regs", cie_regs)) return false;
-        if (!section("me_regs", me_regs)) return false;
-        if (!section("cie", cie)) return false;
-        if (!section("me", me)) return false;
-        if (!section("rr", rr)) return false;
-        if (!section("portal", portal)) return false;
-        if (!section("icap", icap)) return false;
-        if (!section("recorder", rec)) return false;
-        {
-            rtlsim::SnapReader r = loader.reader("signals");
-            if (!sch.ckpt_restore_signals(r)) return false;
-        }
-        return true;
-    }
 };
 
 }  // namespace
 
-std::string stream_boot_snapshot() {
-    StreamTb tb;
-    tb.boot();
-    std::ostringstream os;
-    if (!tb.save(os)) return {};
-    return os.str();
-}
-
 StreamResult run_stream_scenario(const Scenario& scenario,
-                                 const std::atomic<bool>* cancel,
-                                 const std::string* boot) {
+                                 const std::atomic<bool>* cancel) {
     StreamTb tb;
-    // Warm start: skip the shared elaborate-and-reset prefix by restoring
-    // the boot snapshot. A stale or corrupt blob falls back to the cold
-    // path (correctness first, speed second).
-    if (boot == nullptr || boot->empty() || !tb.restore(*boot)) {
-        tb.boot();
-    }
+    tb.sch.run_until(8 * kClk);  // reset settles
 
     for (const StreamSession& ss : scenario.sessions) {
         const std::vector<rtlsim::Word> words = ss.words();

@@ -34,18 +34,8 @@ struct StreamResult {
 };
 
 /// Run a kStream scenario to completion. `cancel` (optional) aborts the
-/// playback cooperatively between words. `boot` (optional) warm-starts the
-/// run from a stream_boot_snapshot() blob instead of re-simulating the
-/// elaborate-and-reset prefix; an unusable blob falls back to a cold boot,
-/// so the result is identical either way.
+/// playback cooperatively between words.
 [[nodiscard]] StreamResult run_stream_scenario(
-    const Scenario& scenario, const std::atomic<bool>* cancel = nullptr,
-    const std::string* boot = nullptr);
-
-/// Serialize the stream testbench's boot state (elaborate + reset settle)
-/// into a checkpoint blob shareable across every kStream job of a
-/// campaign — the scenario only enters after the boot prefix. Empty on
-/// failure.
-[[nodiscard]] std::string stream_boot_snapshot();
+    const Scenario& scenario, const std::atomic<bool>* cancel = nullptr);
 
 }  // namespace autovision::scen

@@ -16,14 +16,10 @@
 // in-flight state (open DMA bursts, half-streamed SimBs, latched IRQs).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <sstream>
 #include <string>
 
 #include "ckpt/checkpoint.hpp"
-#include "diff/diff.hpp"
-#include "scen/scenario.hpp"
-#include "scen/stream_harness.hpp"
 #include "sys/address_map.hpp"
 #include "sys/system.hpp"
 #include "sys/testbench.hpp"
@@ -327,113 +323,6 @@ TEST(Ckpt, WarmEqualsColdWithSoftwareScheduledPool) {
         200000 * cfg.clk_period);
     ASSERT_NE(t, 0u) << "firmware never pushed a pool job";
     expect_warm_equals_cold(cfg, warm, t + 30000 * cfg.clk_period);
-}
-
-// ---------------------------------------------------------------------------
-// Stream-harness warm start (the closure campaign's fast path)
-// ---------------------------------------------------------------------------
-
-/// A deterministic kStream scenario with a corrupted middle session, so the
-/// warm run replays SimB corruption from the restored state.
-autovision::scen::Scenario corrupted_stream_scenario() {
-    autovision::scen::ScenarioConstraints cons;
-    cons.w_stream = 1;
-    cons.w_system = 0;
-    cons.w_fault = 0;
-    cons.min_sessions = 3;
-    cons.max_sessions = 5;
-    autovision::scen::Scenario sc =
-        autovision::scen::generate(cons, /*seed=*/0xC0FFEEu);
-    EXPECT_EQ(sc.kind, autovision::scen::Kind::kStream);
-    return sc;
-}
-
-bool same_events(const std::vector<autovision::obs::Event>& a,
-                 const std::vector<autovision::obs::Event>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].time != b[i].time || a[i].kind != b[i].kind ||
-            a[i].src != b[i].src || a[i].a != b[i].a || a[i].b != b[i].b) {
-            return false;
-        }
-    }
-    return true;
-}
-
-TEST(Ckpt, StreamHarnessWarmStartMatchesCold) {
-    const autovision::scen::Scenario sc = corrupted_stream_scenario();
-
-    const autovision::scen::StreamResult cold =
-        autovision::scen::run_stream_scenario(sc);
-
-    const std::string boot = autovision::scen::stream_boot_snapshot();
-    ASSERT_FALSE(boot.empty());
-    const autovision::scen::StreamResult warm =
-        autovision::scen::run_stream_scenario(sc, nullptr, &boot);
-
-    // The full observable surface must match bit-exactly: the recorded
-    // event stream (what coverage is computed from), kernel counters,
-    // portal/ICAP tallies and diagnostics.
-    EXPECT_TRUE(same_events(cold.events, warm.events));
-    EXPECT_EQ(cold.stats.timed_events, warm.stats.timed_events);
-    EXPECT_EQ(cold.stats.delta_cycles, warm.stats.delta_cycles);
-    EXPECT_EQ(cold.stats.proc_invocations, warm.stats.proc_invocations);
-    EXPECT_EQ(cold.stats.signal_updates, warm.stats.signal_updates);
-    EXPECT_EQ(cold.stats.time_steps, warm.stats.time_steps);
-    EXPECT_EQ(cold.sim_time, warm.sim_time);
-    EXPECT_EQ(cold.swaps, warm.swaps);
-    EXPECT_EQ(cold.aborts, warm.aborts);
-    EXPECT_EQ(cold.truncations, warm.truncations);
-    EXPECT_EQ(cold.captures, warm.captures);
-    EXPECT_EQ(cold.restores, warm.restores);
-    EXPECT_EQ(cold.diagnostic_text, warm.diagnostic_text);
-}
-
-TEST(Ckpt, StreamBootSnapshotIsDeterministic) {
-    EXPECT_EQ(autovision::scen::stream_boot_snapshot(),
-              autovision::scen::stream_boot_snapshot());
-}
-
-// ---------------------------------------------------------------------------
-// Differential-oracle warm start (the shrinker's fast path)
-// ---------------------------------------------------------------------------
-
-void expect_same_side(const autovision::diff::SideRun& cold,
-                      const autovision::diff::SideRun& warm) {
-    EXPECT_EQ(cold.selects, warm.selects);
-    EXPECT_EQ(cold.swaps, warm.swaps);
-    EXPECT_EQ(cold.aborts, warm.aborts);
-    EXPECT_EQ(cold.captures, warm.captures);
-    EXPECT_EQ(cold.restores, warm.restores);
-    EXPECT_EQ(cold.probes, warm.probes);
-    EXPECT_EQ(cold.diagnostics, warm.diagnostics);
-    EXPECT_TRUE(same_events(cold.events, warm.events));
-    EXPECT_EQ(cold.stats.timed_events, warm.stats.timed_events);
-    EXPECT_EQ(cold.stats.proc_invocations, warm.stats.proc_invocations);
-    EXPECT_EQ(cold.stats.signal_updates, warm.stats.signal_updates);
-    EXPECT_EQ(cold.sim_time, warm.sim_time);
-}
-
-TEST(Ckpt, DiffSidesWarmStartMatchesCold) {
-    const autovision::scen::Scenario sc = corrupted_stream_scenario();
-
-    autovision::diff::DiffOptions cold_opt;  // no cache: always cold
-    const autovision::diff::SideRun vm_cold =
-        autovision::diff::run_vm_side(sc, cold_opt);
-    const autovision::diff::SideRun rs_cold =
-        autovision::diff::run_resim_side(sc, cold_opt);
-
-    autovision::diff::BootCache cache;
-    autovision::diff::DiffOptions warm_opt;
-    warm_opt.boot = &cache;
-    // First pair of runs fills the cache (cold boot + save)...
-    expect_same_side(vm_cold, autovision::diff::run_vm_side(sc, warm_opt));
-    expect_same_side(rs_cold, autovision::diff::run_resim_side(sc, warm_opt));
-    ASSERT_FALSE(cache.vm[0].empty());
-    ASSERT_FALSE(cache.resim[0].empty());
-    // ...the second pair forks from the snapshots and must be identical.
-    expect_same_side(vm_cold, autovision::diff::run_vm_side(sc, warm_opt));
-    expect_same_side(rs_cold, autovision::diff::run_resim_side(sc, warm_opt));
 }
 
 }  // namespace

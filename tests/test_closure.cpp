@@ -279,12 +279,11 @@ TEST(SvcClosureLoop, RestoreRejectsMismatchedConfig) {
 
 // --- the --state file ------------------------------------------------------
 
-/// Cold boots keep a fresh loop cheap enough to build once per mutation.
+/// A two-batch campaign: small enough to run once per mutation.
 ClosureConfig state_closure() {
     ClosureConfig cc = tiny_closure();
     cc.batch_size = 2;
     cc.max_batches = 2;
-    cc.warm_start = false;
     return cc;
 }
 

@@ -44,6 +44,7 @@
 #include "isa/assembler.hpp"
 #include "isa/cpu.hpp"
 #include "kernel/kernel.hpp"
+#include "kernel/snapshot.hpp"
 
 namespace autovision::isa {
 namespace {
@@ -373,6 +374,41 @@ TEST(IsaLockstep, SleepActuallyOpensWindows) {
     EXPECT_GT(tb.cpu.sleep_windows(), 0u);
     EXPECT_GT(tb.cpu.sleep_insns(), tb.cpu.instructions() / 4)
         << "expected a significant batched share on a bus-free body";
+}
+
+TEST(IsaLockstep, RestoreRejectsAnOpenSleepWindow) {
+    // A CPU saved inside a sleep window lags simulated time; restore must
+    // refuse the blob instead of replaying the window. The same CPU saved
+    // after wake_now() commits the window restores.
+    GenConfig g;
+    g.body_items = 100;
+    g.outer = 60;
+    g.mem_weight = 0;
+    g.smc_weight = 0;
+    g.syscall_weight = 0;
+    const Program p = assemble(random_program(33, g));
+    LockTb src(p, /*sleep=*/true);
+    while (!src.cpu.sleeping() && src.sch.now() < 20000 * kClk) {
+        src.sch.run_until(src.sch.now() + kClk);
+    }
+    ASSERT_TRUE(src.cpu.sleeping()) << "no sleep window opened";
+    const auto restores = [&p](const rtlsim::SnapWriter& w) {
+        LockTb dst(p, /*sleep=*/true);
+        rtlsim::SnapReader r(w.buffer());
+        const bool ok = dst.cpu.ckpt_restore(r);
+        EXPECT_FALSE(dst.cpu.sleeping());
+        return ok;
+    };
+
+    rtlsim::SnapWriter open_window;
+    src.cpu.ckpt_save(open_window);
+    EXPECT_FALSE(restores(open_window));
+
+    src.cpu.wake_now();
+    ASSERT_FALSE(src.cpu.sleeping());
+    rtlsim::SnapWriter committed;
+    src.cpu.ckpt_save(committed);
+    EXPECT_TRUE(restores(committed));
 }
 
 TEST(IsaLockstep, SelfModifyingStoreInvalidatesTheCachedBlock) {

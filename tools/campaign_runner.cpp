@@ -44,7 +44,6 @@
 #include "campaign/sink.hpp"
 #include "diff/repro.hpp"
 #include "diff/shrink.hpp"
-#include "scen/stream_harness.hpp"
 #include "sys/address_map.hpp"
 #include "sys/system.hpp"
 #include "video/synth.hpp"
@@ -80,11 +79,10 @@ struct Options {
     std::string replay;
     // closure + diff: crash-safe progress file
     std::string state;
-    // checkpointing
+    // checkpointing (standalone --ckpt-at mode only)
     std::string ckpt_out;       ///< write a snapshot here
     std::string ckpt_in;        ///< warm-start from this snapshot
-    unsigned long long ckpt_at = 0;  ///< standalone mode: run to this cycle
-    bool no_warm_start = false;      ///< closure: force cold boots
+    unsigned long long ckpt_at = 0;  ///< run to this cycle
 };
 
 void usage(const char* argv0) {
@@ -155,13 +153,8 @@ void usage(const char* argv0) {
         "                  Deterministic: two invocations reaching the same\n"
         "                  cycle print the same digest, whether they got\n"
         "                  there cold or via --ckpt-in\n"
-        "  --ckpt-out FILE write a snapshot to FILE: the cycle-N state in\n"
-        "                  standalone mode, the stream-testbench boot\n"
-        "                  snapshot in the closure campaign\n"
-        "  --ckpt-in FILE  warm-start from FILE: restore before continuing\n"
-        "                  in standalone mode, fork every closure stream\n"
-        "                  job from it in the closure campaign\n"
-        "  --no-warm-start closure: always boot stream jobs cold\n",
+        "  --ckpt-out FILE with --ckpt-at: write the cycle-N snapshot to FILE\n"
+        "  --ckpt-in FILE  with --ckpt-at: restore FILE before continuing\n",
         argv0);
 }
 
@@ -407,26 +400,6 @@ int run_closure_campaign(const Options& opt) {
     cc.max_batches = opt.batches;
     cc.target_percent = opt.target;
     cc.bias = opt.bias;
-    cc.warm_start = !opt.no_warm_start;
-    if (!opt.ckpt_in.empty()) {
-        std::ifstream is(opt.ckpt_in, std::ios::binary);
-        std::ostringstream buf;
-        if (!is || !(buf << is.rdbuf())) {
-            std::fprintf(stderr, "cannot read %s\n", opt.ckpt_in.c_str());
-            return 2;
-        }
-        cc.boot_blob = buf.str();
-    }
-    if (!opt.ckpt_out.empty()) {
-        const std::string boot = scen::stream_boot_snapshot();
-        std::ofstream os(opt.ckpt_out, std::ios::binary | std::ios::trunc);
-        if (!os || !(os << boot)) {
-            std::fprintf(stderr, "cannot write %s\n", opt.ckpt_out.c_str());
-            return 2;
-        }
-        std::printf("boot snapshot: %s (%zu bytes)\n", opt.ckpt_out.c_str(),
-                    boot.size());
-    }
 
     ClosureLoop loop(cc);
     std::string err;
@@ -681,8 +654,6 @@ int main(int argc, char** argv) {
             opt.ckpt_in = next();
         } else if (a == "--ckpt-at") {
             ok = parse_u64(next(), opt.ckpt_at) && opt.ckpt_at != 0;
-        } else if (a == "--no-warm-start") {
-            opt.no_warm_start = true;
         } else if (a == "--trace") {
             opt.trace = true;
         } else if (a == "--trace-out") {
@@ -708,6 +679,10 @@ int main(int argc, char** argv) {
         opt.campaign != "diff") {
         std::fprintf(stderr,
                      "--state supports the closure and diff campaigns only\n");
+        return 2;
+    }
+    if (opt.ckpt_at == 0 && (!opt.ckpt_in.empty() || !opt.ckpt_out.empty())) {
+        std::fprintf(stderr, "--ckpt-in and --ckpt-out need --ckpt-at\n");
         return 2;
     }
     if (!opt.replay.empty()) return run_replay(opt.replay);
