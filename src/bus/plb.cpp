@@ -358,7 +358,7 @@ void DmaMaster::begin_burst() {
     port_.addr.write(Word{addr_});
     port_.nbeats.write(LVec<16>{burst_beats_});
     port_.rnw.write(reading_ ? Logic::L1 : Logic::L0);
-    if (!reading_) port_.wdata.write(src_(idx_));
+    if (!reading_ && idx_ < total_) port_.wdata.write(src_(idx_));
     port_.req.write(Logic::L1);
     state_ = St::Req;
 }
@@ -383,7 +383,9 @@ void DmaMaster::ckpt_save(rtlsim::SnapWriter& w) const {
 }
 
 bool DmaMaster::ckpt_restore(rtlsim::SnapReader& r) {
-    state_ = static_cast<St>(r.u8());
+    const std::uint8_t st = r.u8();
+    if (st > static_cast<std::uint8_t>(St::Gap)) return false;
+    state_ = static_cast<St>(st);
     reading_ = r.bool8();
     failed_ = r.bool8();
     addr_ = r.u32();
@@ -391,6 +393,7 @@ bool DmaMaster::ckpt_restore(rtlsim::SnapReader& r) {
     total_ = r.u32();
     idx_ = r.u32();
     burst_beats_ = r.u32();
+    if (idx_ > total_ || remaining_ > total_) return false;
     return r.ok_so_far();
 }
 
@@ -419,7 +422,7 @@ void DmaMaster::step() {
 
         case St::Xfer: {
             if (reading_ && is1(port_.rd_ack.read())) {
-                if (sink_) sink_(idx_, port_.rdata.read());
+                if (sink_ && idx_ < total_) sink_(idx_, port_.rdata.read());
                 ++idx_;
             }
             if (!reading_ && is1(port_.wr_ack.read())) {

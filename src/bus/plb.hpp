@@ -207,6 +207,7 @@ public:
     void reset();
 
     [[nodiscard]] bool busy() const { return state_ != St::Idle; }
+    [[nodiscard]] bool reading() const { return reading_; }
     [[nodiscard]] std::uint32_t words_done() const { return idx_; }
     [[nodiscard]] std::uint32_t words_total() const { return total_; }
     /// True when the last transfer ended with a bus error (decode miss).
@@ -215,7 +216,8 @@ public:
     // --- checkpoint ------------------------------------------------------
     /// POD transfer state only; the data closures cannot be serialized and
     /// are re-installed by the owning module via ckpt_rearm() after its own
-    /// descriptor state is restored.
+    /// descriptor state is restored. The closures are never called past
+    /// words_total(), which the owner checks against its buffer.
     void ckpt_save(rtlsim::SnapWriter& w) const;
     [[nodiscard]] bool ckpt_restore(rtlsim::SnapReader& r);
     /// Re-install the completion closures without touching the transfer

@@ -5,7 +5,6 @@
 namespace autovision {
 
 using rtlsim::LVec;
-using rtlsim::Word;
 
 CensusEngine::CensusEngine(rtlsim::Scheduler& sch, const std::string& name,
                            rtlsim::Signal<rtlsim::Logic>& clk,
@@ -25,52 +24,7 @@ void CensusEngine::reset_job() {
     out_row_.clear();
 }
 
-void CensusEngine::save_job_state(StateWriter& w) const {
-    w.u32(w_);
-    w.u32(h_);
-    w.u32(src_);
-    w.u32(dst_);
-    w.u8(static_cast<std::uint8_t>(phase_));
-    w.bool8(write_issued_);
-    w.u32(y_);
-    w.u32(x_);
-    w.bytes(prev_);
-    w.bytes(cur_);
-    w.bytes(next_);
-    w.words(out_row_);
-}
-
-bool CensusEngine::restore_job_state(StateReader& r) {
-    w_ = r.u32();
-    h_ = r.u32();
-    src_ = r.u32();
-    dst_ = r.u32();
-    const std::uint8_t ph = r.u8();
-    if (ph > static_cast<std::uint8_t>(Phase::WriteRow)) return false;
-    phase_ = static_cast<Phase>(ph);
-    write_issued_ = r.bool8();
-    y_ = r.u32();
-    x_ = r.u32();
-    prev_ = r.bytes();
-    cur_ = r.bytes();
-    next_ = r.bytes();
-    out_row_ = r.words();
-    dma_issued_ = false;  // capture is only legal with the DMA idle
-    if (!r.ok_so_far()) return false;
-    if (w_ == 0 && h_ == 0) {
-        // Idle image: captured before any job was configured. Valid iff
-        // every buffer is empty too — a capture/restore round-trip of an
-        // untouched module must succeed.
-        return prev_.empty() && cur_.empty() && next_.empty() &&
-               out_row_.empty() && y_ == 0 && x_ == 0;
-    }
-    // Geometry consistency: a mismatched image must be rejected.
-    return w_ > 0 && h_ > 0 && prev_.size() == w_ && cur_.size() == w_ &&
-           next_.size() == w_ && out_row_.size() == w_ / 4 && y_ <= h_ &&
-           x_ <= w_;
-}
-
-void CensusEngine::ckpt_save_job(rtlsim::SnapWriter& w) const {
+void CensusEngine::save_job(rtlsim::SnapWriter& w) const {
     w.u32(w_);
     w.u32(h_);
     w.u32(src_);
@@ -86,7 +40,7 @@ void CensusEngine::ckpt_save_job(rtlsim::SnapWriter& w) const {
     w.words(out_row_);
 }
 
-bool CensusEngine::ckpt_restore_job(rtlsim::SnapReader& r) {
+bool CensusEngine::restore_job(rtlsim::SnapReader& r) {
     w_ = r.u32();
     h_ = r.u32();
     src_ = r.u32();
@@ -105,33 +59,31 @@ bool CensusEngine::ckpt_restore_job(rtlsim::SnapReader& r) {
     if (!r.ok_so_far()) return false;
     if (dma_issued_ != dma_.busy()) return false;
     if (prev_.empty() && cur_.empty() && next_.empty() && out_row_.empty()) {
-        // Between jobs: reset_job cleared the buffers but w_/h_ keep the
-        // last job's geometry. Only the post-reset initial state is legal
-        // here — any mid-job phase would index the empty buffers.
-        return phase_ == Phase::LoadFirst && !dma_issued_ &&
+        // Idle, or between jobs: reset_job cleared the buffers but w_/h_
+        // keep the last job's geometry. Only the post-reset initial state
+        // of a stopped engine is legal here — any job would index the
+        // empty buffers.
+        return !busy() && phase_ == Phase::LoadFirst && !dma_issued_ &&
                !write_issued_ && y_ == 0 && x_ == 0;
     }
-    if (w_ == 0 || prev_.size() != w_ || cur_.size() != w_ ||
-        next_.size() != w_ || out_row_.size() != w_ / 4) {
+    // Geometry begin_job could have latched, and indices inside it:
+    // Compute reads cur_[x_] and writes out_row_[x_ / 4].
+    if (w_ == 0 || w_ % 4 != 0 || h_ == 0 || prev_.size() != w_ ||
+        cur_.size() != w_ || next_.size() != w_ ||
+        out_row_.size() != w_ / 4 || y_ > h_ || x_ > w_ ||
+        (phase_ == Phase::Compute && x_ == w_)) {
         return false;
     }
     if (!dma_issued_) return true;
-    if (dma_.words_total() > w_ / 4) return false;  // would overrun a buffer
-    // Re-arm the open burst's data closures from the phase flags; the
-    // closures are the same ones issue_row_read/issue_row_write install.
+    // Re-arm the open burst's data closures from the phase flags.
+    const auto done = [this] { dma_issued_ = false; };
     switch (phase_) {
         case Phase::LoadNext:  // row-0 fetch issued by LoadFirst
-            rearm_read(cur_);
-            return true;
+            return rearm_read(cur_, done);
         case Phase::Compute:  // look-ahead row fetch issued by LoadNext
-            rearm_read(next_);
-            return true;
+            return rearm_read(next_, done);
         case Phase::WriteRow:
-            if (!write_issued_) return false;
-            dma_.ckpt_rearm(
-                {}, [this](std::uint32_t i) { return Word{out_row_[i]}; },
-                [this] { dma_issued_ = false; });
-            return true;
+            return write_issued_ && rearm_write(out_row_, done);
         default:
             return false;  // LoadFirst never leaves a burst open
     }
@@ -153,39 +105,14 @@ bool CensusEngine::begin_job() {
 
 void CensusEngine::issue_row_read(unsigned row, std::vector<std::uint8_t>& dest) {
     dma_issued_ = true;
-    dma_.start_read(
-        src_ + row * w_, w_ / 4,
-        [this, &dest](std::uint32_t i, Word w) {
-            if (w.has_unknown()) report_x_input();
-            const auto v = static_cast<std::uint32_t>(w.to_u64());
-            dest[4 * i + 0] = static_cast<std::uint8_t>(v >> 24);
-            dest[4 * i + 1] = static_cast<std::uint8_t>(v >> 16);
-            dest[4 * i + 2] = static_cast<std::uint8_t>(v >> 8);
-            dest[4 * i + 3] = static_cast<std::uint8_t>(v);
-        },
-        [this] { dma_issued_ = false; });
-}
-
-void CensusEngine::rearm_read(std::vector<std::uint8_t>& dest) {
-    // Identical to the sink issue_row_read installs.
-    dma_.ckpt_rearm(
-        [this, &dest](std::uint32_t i, Word w) {
-            if (w.has_unknown()) report_x_input();
-            const auto v = static_cast<std::uint32_t>(w.to_u64());
-            dest[4 * i + 0] = static_cast<std::uint8_t>(v >> 24);
-            dest[4 * i + 1] = static_cast<std::uint8_t>(v >> 16);
-            dest[4 * i + 2] = static_cast<std::uint8_t>(v >> 8);
-            dest[4 * i + 3] = static_cast<std::uint8_t>(v);
-        },
-        {}, [this] { dma_issued_ = false; });
+    dma_.start_read(src_ + row * w_, w_ / 4, byte_sink(dest),
+                    [this] { dma_issued_ = false; });
 }
 
 void CensusEngine::issue_row_write() {
     dma_issued_ = true;
-    dma_.start_write(
-        dst_ + y_ * w_, w_ / 4,
-        [this](std::uint32_t i) { return Word{out_row_[i]}; },
-        [this] { dma_issued_ = false; });
+    dma_.start_write(dst_ + y_ * w_, w_ / 4, word_source(out_row_),
+                     [this] { dma_issued_ = false; });
 }
 
 std::uint8_t CensusEngine::sample(const std::vector<std::uint8_t>& row,

@@ -6,7 +6,6 @@
 namespace autovision {
 
 using rtlsim::LVec;
-using rtlsim::Word;
 
 EdgeEngine::EdgeEngine(rtlsim::Scheduler& sch, const std::string& name,
                        rtlsim::Signal<rtlsim::Logic>& clk,
@@ -40,49 +39,7 @@ bool EdgeEngine::begin_job() {
     return true;
 }
 
-void EdgeEngine::save_job_state(StateWriter& w) const {
-    w.u32(w_);
-    w.u32(h_);
-    w.u32(src_);
-    w.u32(dst_);
-    w.u8(static_cast<std::uint8_t>(phase_));
-    w.bool8(write_issued_);
-    w.u32(y_);
-    w.u32(x_);
-    w.bytes(prev_);
-    w.bytes(cur_);
-    w.bytes(next_);
-    w.words(out_row_);
-}
-
-bool EdgeEngine::restore_job_state(StateReader& r) {
-    w_ = r.u32();
-    h_ = r.u32();
-    src_ = r.u32();
-    dst_ = r.u32();
-    const std::uint8_t ph = r.u8();
-    if (ph > static_cast<std::uint8_t>(Phase::WriteRow)) return false;
-    phase_ = static_cast<Phase>(ph);
-    write_issued_ = r.bool8();
-    y_ = r.u32();
-    x_ = r.u32();
-    prev_ = r.bytes();
-    cur_ = r.bytes();
-    next_ = r.bytes();
-    out_row_ = r.words();
-    dma_issued_ = false;
-    if (!r.ok_so_far()) return false;
-    if (w_ == 0 && h_ == 0) {
-        // Idle image: captured before any job was configured (see
-        // CensusEngine::restore_job_state).
-        return prev_.empty() && cur_.empty() && next_.empty() &&
-               out_row_.empty() && y_ == 0 && x_ == 0;
-    }
-    return w_ > 0 && h_ > 0 && prev_.size() == w_ && cur_.size() == w_ &&
-           next_.size() == w_ && out_row_.size() == w_ / 4;
-}
-
-void EdgeEngine::ckpt_save_job(rtlsim::SnapWriter& w) const {
+void EdgeEngine::save_job(rtlsim::SnapWriter& w) const {
     w.u32(w_);
     w.u32(h_);
     w.u32(src_);
@@ -98,7 +55,7 @@ void EdgeEngine::ckpt_save_job(rtlsim::SnapWriter& w) const {
     w.words(out_row_);
 }
 
-bool EdgeEngine::ckpt_restore_job(rtlsim::SnapReader& r) {
+bool EdgeEngine::restore_job(rtlsim::SnapReader& r) {
     w_ = r.u32();
     h_ = r.u32();
     src_ = r.u32();
@@ -116,71 +73,42 @@ bool EdgeEngine::ckpt_restore_job(rtlsim::SnapReader& r) {
     out_row_ = r.words();
     if (!r.ok_so_far()) return false;
     if (dma_issued_ != dma_.busy()) return false;
+    // Same validation and phase-to-target mapping as the CIE (structural
+    // sibling; see CensusEngine::restore_job).
     if (prev_.empty() && cur_.empty() && next_.empty() && out_row_.empty()) {
-        // Between jobs: reset_job cleared the buffers but w_/h_ keep the
-        // last job's geometry; only the post-reset initial state is legal.
-        return phase_ == Phase::LoadFirst && !dma_issued_ &&
+        return !busy() && phase_ == Phase::LoadFirst && !dma_issued_ &&
                !write_issued_ && y_ == 0 && x_ == 0;
     }
-    if (w_ == 0 || prev_.size() != w_ || cur_.size() != w_ ||
-        next_.size() != w_ || out_row_.size() != w_ / 4) {
+    if (w_ == 0 || w_ % 4 != 0 || h_ == 0 || prev_.size() != w_ ||
+        cur_.size() != w_ || next_.size() != w_ ||
+        out_row_.size() != w_ / 4 || y_ > h_ || x_ > w_ ||
+        (phase_ == Phase::Compute && x_ == w_)) {
         return false;
     }
     if (!dma_issued_) return true;
-    if (dma_.words_total() > w_ / 4) return false;
-    // Same phase-to-target mapping as the CIE (structural sibling).
+    const auto done = [this] { dma_issued_ = false; };
     switch (phase_) {
         case Phase::LoadNext:
-            rearm_read(cur_);
-            return true;
+            return rearm_read(cur_, done);
         case Phase::Compute:
-            rearm_read(next_);
-            return true;
+            return rearm_read(next_, done);
         case Phase::WriteRow:
-            if (!write_issued_) return false;
-            dma_.ckpt_rearm(
-                {}, [this](std::uint32_t i) { return Word{out_row_[i]}; },
-                [this] { dma_issued_ = false; });
-            return true;
+            return write_issued_ && rearm_write(out_row_, done);
         default:
             return false;
     }
 }
 
-void EdgeEngine::rearm_read(std::vector<std::uint8_t>& dest) {
-    dma_.ckpt_rearm(
-        [this, &dest](std::uint32_t i, Word w) {
-            if (w.has_unknown()) report_x_input();
-            const auto v = static_cast<std::uint32_t>(w.to_u64());
-            dest[4 * i + 0] = static_cast<std::uint8_t>(v >> 24);
-            dest[4 * i + 1] = static_cast<std::uint8_t>(v >> 16);
-            dest[4 * i + 2] = static_cast<std::uint8_t>(v >> 8);
-            dest[4 * i + 3] = static_cast<std::uint8_t>(v);
-        },
-        {}, [this] { dma_issued_ = false; });
-}
-
 void EdgeEngine::issue_row_read(unsigned row, std::vector<std::uint8_t>& dest) {
     dma_issued_ = true;
-    dma_.start_read(
-        src_ + row * w_, w_ / 4,
-        [this, &dest](std::uint32_t i, Word w) {
-            if (w.has_unknown()) report_x_input();
-            const auto v = static_cast<std::uint32_t>(w.to_u64());
-            dest[4 * i + 0] = static_cast<std::uint8_t>(v >> 24);
-            dest[4 * i + 1] = static_cast<std::uint8_t>(v >> 16);
-            dest[4 * i + 2] = static_cast<std::uint8_t>(v >> 8);
-            dest[4 * i + 3] = static_cast<std::uint8_t>(v);
-        },
-        [this] { dma_issued_ = false; });
+    dma_.start_read(src_ + row * w_, w_ / 4, byte_sink(dest),
+                    [this] { dma_issued_ = false; });
 }
 
 void EdgeEngine::issue_row_write() {
     dma_issued_ = true;
-    dma_.start_write(
-        dst_ + y_ * w_, w_ / 4,
-        [this](std::uint32_t i) { return Word{out_row_[i]}; },
-        [this] { dma_issued_ = false; });
+    dma_.start_write(dst_ + y_ * w_, w_ / 4, word_source(out_row_),
+                     [this] { dma_issued_ = false; });
 }
 
 int EdgeEngine::sample(const std::vector<std::uint8_t>& row, int x) const {

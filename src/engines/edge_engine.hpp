@@ -28,17 +28,14 @@ protected:
     bool begin_job() override;
     bool work_cycle() override;
     void reset_job() override;
-    void save_job_state(StateWriter& w) const override;
-    bool restore_job_state(StateReader& r) override;
-    void ckpt_save_job(rtlsim::SnapWriter& w) const override;
-    bool ckpt_restore_job(rtlsim::SnapReader& r) override;
+    void save_job(rtlsim::SnapWriter& w) const override;
+    bool restore_job(rtlsim::SnapReader& r) override;
 
 private:
     enum class Phase { LoadFirst, LoadNext, Compute, WriteRow };
 
     void issue_row_read(unsigned row, std::vector<std::uint8_t>& dest);
     void issue_row_write();
-    void rearm_read(std::vector<std::uint8_t>& dest);
     [[nodiscard]] std::uint8_t magnitude(unsigned x) const;
     [[nodiscard]] int sample(const std::vector<std::uint8_t>& row, int x) const;
 

@@ -36,30 +36,34 @@ void EngineBase::rm_deactivate() {
     done_irq.write(Logic::L0);
 }
 
+namespace {
+constexpr std::uint32_t kStateMagic = 0x5AFE'57A7;
+}  // namespace
+
 std::vector<std::uint8_t> EngineBase::rm_save_state() {
     if (dma_.busy()) {
         report("state capture refused: DMA transaction in flight"
                " (module not quiescent)");
         return {};
     }
-    StateWriter w;
-    w.u32(0x5AFE'57A7);  // image magic
+    rtlsim::SnapWriter w;
+    w.u32(kStateMagic);
     w.bool8(running_);
-    save_job_state(w);
+    save_job(w);
     return w.take();
 }
 
 bool EngineBase::rm_restore_state(std::span<const std::uint8_t> state) {
-    StateReader r(state);
-    if (r.u32() != 0x5AFE'57A7) return false;
-    const bool running = r.bool8();
-    if (!restore_job_state(r) || !r.ok()) {
+    rtlsim::SnapReader r(state);
+    const bool magic_ok = r.u32() == kStateMagic;
+    running_ = r.bool8();
+    if (!magic_ok || !restore_job(r) || !r.ok()) {
         // Reject atomically: come up in the initial state instead.
+        dma_.reset();
         reset_job();
         running_ = false;
         return false;
     }
-    running_ = running;
     regs_.set_busy(running_);
     return true;
 }
@@ -71,7 +75,7 @@ void EngineBase::ckpt_save(rtlsim::SnapWriter& w) const {
     w.u64(jobs_);
     w.u64(busy_cycles_);
     w.u32(x_reports_);
-    ckpt_save_job(w);
+    save_job(w);
 }
 
 bool EngineBase::ckpt_restore(rtlsim::SnapReader& r) {
@@ -81,7 +85,21 @@ bool EngineBase::ckpt_restore(rtlsim::SnapReader& r) {
     jobs_ = r.u64();
     busy_cycles_ = r.u64();
     x_reports_ = r.u32();
-    return ckpt_restore_job(r) && r.ok_so_far();
+    return restore_job(r) && r.ok_so_far();
+}
+
+bool EngineBase::rearm_read(std::vector<std::uint8_t>& dest,
+                            std::function<void()> on_done) {
+    if (!dma_.reading() || dma_.words_total() > dest.size() / 4) return false;
+    dma_.ckpt_rearm(byte_sink(dest), {}, std::move(on_done));
+    return true;
+}
+
+bool EngineBase::rearm_write(const std::vector<std::uint32_t>& src,
+                             std::function<void()> on_done) {
+    if (dma_.reading() || dma_.words_total() > src.size()) return false;
+    dma_.ckpt_rearm({}, word_source(src), std::move(on_done));
+    return true;
 }
 
 void EngineBase::report_x_input() {

@@ -10,13 +10,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "bus/plb.hpp"
 #include "engine_regs.hpp"
 #include "kernel/kernel.hpp"
 #include "recon/rr_module.hpp"
-#include "recon/state.hpp"
 
 namespace autovision {
 
@@ -41,10 +42,13 @@ public:
     void rm_deactivate() override;
     [[nodiscard]] bool rm_active() const override { return active_; }
 
-    /// State capture (GCAPTURE): refuses while a DMA transaction is in
-    /// flight — the module must be quiesced before readback, a design rule
-    /// the portal checks.
+    /// State capture (GCAPTURE): magic, running flag, then the job image
+    /// save_job writes. Refuses while a DMA transaction is in flight — the
+    /// module must be quiesced before readback, a design rule the portal
+    /// checks.
     [[nodiscard]] std::vector<std::uint8_t> rm_save_state() override;
+    /// GRESTORE: validates the image with restore_job; a rejected image
+    /// leaves the engine in its post-configuration initial state.
     [[nodiscard]] bool rm_restore_state(
         std::span<const std::uint8_t> state) override;
 
@@ -53,10 +57,11 @@ public:
     [[nodiscard]] std::uint64_t busy_cycles() const { return busy_cycles_; }
 
     // --- checkpoint ------------------------------------------------------
-    /// Full-fidelity snapshot: residency/job bookkeeping + DMA FSM +
-    /// derived datapath, legal mid-burst (unlike rm_save_state, which
-    /// refuses while the DMA is in flight). The derived class re-arms the
-    /// DMA data closures from its restored phase flags.
+    /// Full-fidelity snapshot: DMA FSM + residency/job bookkeeping + the
+    /// same job image as rm_save_state, legal mid-burst (unlike
+    /// rm_save_state, which refuses while the DMA is in flight). The
+    /// derived class re-arms the DMA data closures from its restored phase
+    /// flags.
     void ckpt_save(rtlsim::SnapWriter& w) const;
     [[nodiscard]] bool ckpt_restore(rtlsim::SnapReader& r);
 
@@ -71,16 +76,38 @@ protected:
     /// Reset job-level state to the post-configuration initial state.
     virtual void reset_job() = 0;
 
-    /// Serialize / reinstate the derived datapath state (DMA is known
-    /// idle). restore_job_state returns false on a malformed image.
-    virtual void save_job_state(StateWriter& w) const = 0;
-    virtual bool restore_job_state(StateReader& r) = 0;
+    /// The job image: the derived datapath state, the one serializer
+    /// behind both GCAPTURE/GRESTORE and checkpoints. restore_job runs
+    /// after the DMA FSM and running_ are restored, re-installs the DMA
+    /// closures (rearm_read/rearm_write) when a burst was open at save
+    /// time, and returns false on any image the datapath could not run
+    /// without an out-of-range access.
+    virtual void save_job(rtlsim::SnapWriter& w) const = 0;
+    [[nodiscard]] virtual bool restore_job(rtlsim::SnapReader& r) = 0;
 
-    /// Checkpoint the derived datapath including mid-DMA descriptors;
-    /// ckpt_restore_job must re-install the DMA closures (via
-    /// dma_.ckpt_rearm) when a burst was open at save time.
-    virtual void ckpt_save_job(rtlsim::SnapWriter& w) const = 0;
-    [[nodiscard]] virtual bool ckpt_restore_job(rtlsim::SnapReader& r) = 0;
+    /// DMA read sink: word i lands big-endian in dest[4i..4i+3]. Every
+    /// engine read installs it, at start_read and at checkpoint re-arm.
+    auto byte_sink(std::vector<std::uint8_t>& dest) {
+        return [this, &dest](std::uint32_t i, rtlsim::Word w) {
+            if (w.has_unknown()) report_x_input();
+            const auto v = static_cast<std::uint32_t>(w.to_u64());
+            dest[4 * i + 0] = static_cast<std::uint8_t>(v >> 24);
+            dest[4 * i + 1] = static_cast<std::uint8_t>(v >> 16);
+            dest[4 * i + 2] = static_cast<std::uint8_t>(v >> 8);
+            dest[4 * i + 3] = static_cast<std::uint8_t>(v);
+        };
+    }
+    /// DMA write source: word i of `src`.
+    static auto word_source(const std::vector<std::uint32_t>& src) {
+        return [&src](std::uint32_t i) { return rtlsim::Word{src[i]}; };
+    }
+
+    /// Re-install the closures of a burst open at save time; false when
+    /// the restored transfer runs the other way or past the buffer.
+    [[nodiscard]] bool rearm_read(std::vector<std::uint8_t>& dest,
+                                  std::function<void()> on_done);
+    [[nodiscard]] bool rearm_write(const std::vector<std::uint32_t>& src,
+                                   std::function<void()> on_done);
 
     /// Capped diagnostic for X encountered in input data.
     void report_x_input();

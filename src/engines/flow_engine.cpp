@@ -3,7 +3,6 @@
 namespace autovision {
 
 using rtlsim::LVec;
-using rtlsim::Word;
 
 FlowEngine::FlowEngine(rtlsim::Scheduler& sch, const std::string& name,
                        rtlsim::Signal<rtlsim::Logic>& clk,
@@ -36,49 +35,7 @@ bool FlowEngine::begin_job() {
     return true;
 }
 
-void FlowEngine::save_job_state(StateWriter& w) const {
-    w.u32(w_);
-    w.u32(h_);
-    w.u32(src_);
-    w.u32(src2_);
-    w.u32(dst_);
-    w.u8(static_cast<std::uint8_t>(phase_));
-    w.bool8(write_issued_);
-    w.u32(y_);
-    w.u32(x_);
-    w.bytes(cur_);
-    w.bytes(prev_);
-    w.words(out_row_);
-}
-
-bool FlowEngine::restore_job_state(StateReader& r) {
-    w_ = r.u32();
-    h_ = r.u32();
-    src_ = r.u32();
-    src2_ = r.u32();
-    dst_ = r.u32();
-    const std::uint8_t ph = r.u8();
-    if (ph > static_cast<std::uint8_t>(Phase::WriteRow)) return false;
-    phase_ = static_cast<Phase>(ph);
-    write_issued_ = r.bool8();
-    y_ = r.u32();
-    x_ = r.u32();
-    cur_ = r.bytes();
-    prev_ = r.bytes();
-    out_row_ = r.words();
-    dma_issued_ = false;
-    if (!r.ok_so_far()) return false;
-    if (w_ == 0 && h_ == 0) {
-        // Idle image: captured before any job was configured (see
-        // CensusEngine::restore_job_state).
-        return cur_.empty() && prev_.empty() && out_row_.empty() && y_ == 0 &&
-               x_ == 0;
-    }
-    return w_ > 0 && h_ > 0 && cur_.size() == w_ && prev_.size() == w_ &&
-           out_row_.size() == w_ / 4;
-}
-
-void FlowEngine::ckpt_save_job(rtlsim::SnapWriter& w) const {
+void FlowEngine::save_job(rtlsim::SnapWriter& w) const {
     w.u32(w_);
     w.u32(h_);
     w.u32(src_);
@@ -94,7 +51,7 @@ void FlowEngine::ckpt_save_job(rtlsim::SnapWriter& w) const {
     w.words(out_row_);
 }
 
-bool FlowEngine::ckpt_restore_job(rtlsim::SnapReader& r) {
+bool FlowEngine::restore_job(rtlsim::SnapReader& r) {
     w_ = r.u32();
     h_ = r.u32();
     src_ = r.u32();
@@ -112,72 +69,42 @@ bool FlowEngine::ckpt_restore_job(rtlsim::SnapReader& r) {
     out_row_ = r.words();
     if (!r.ok_so_far()) return false;
     if (dma_issued_ != dma_.busy()) return false;
+    // Same validation and phase-to-target mapping as the CIE/EDGE
+    // (structural siblings; see CensusEngine::restore_job).
     if (cur_.empty() && prev_.empty() && out_row_.empty()) {
-        // Between jobs: reset_job cleared the buffers but w_/h_ keep the
-        // last job's geometry; only the post-reset initial state is legal.
-        return phase_ == Phase::LoadCur && !dma_issued_ && !write_issued_ &&
-               y_ == 0 && x_ == 0;
+        return !busy() && phase_ == Phase::LoadCur && !dma_issued_ &&
+               !write_issued_ && y_ == 0 && x_ == 0;
     }
-    if (w_ == 0 || cur_.size() != w_ || prev_.size() != w_ ||
-        out_row_.size() != w_ / 4) {
+    if (w_ == 0 || w_ % 4 != 0 || h_ == 0 || cur_.size() != w_ ||
+        prev_.size() != w_ || out_row_.size() != w_ / 4 || y_ > h_ ||
+        x_ > w_ || (phase_ == Phase::Compute && x_ == w_)) {
         return false;
     }
     if (!dma_issued_) return true;
-    if (dma_.words_total() > w_ / 4) return false;
-    // Same phase-to-target mapping as the CIE/EDGE (structural siblings).
+    const auto done = [this] { dma_issued_ = false; };
     switch (phase_) {
         case Phase::LoadPrev:
-            rearm_read(cur_);
-            return true;
+            return rearm_read(cur_, done);
         case Phase::Compute:
-            rearm_read(prev_);
-            return true;
+            return rearm_read(prev_, done);
         case Phase::WriteRow:
-            if (!write_issued_) return false;
-            dma_.ckpt_rearm(
-                {}, [this](std::uint32_t i) { return Word{out_row_[i]}; },
-                [this] { dma_issued_ = false; });
-            return true;
+            return write_issued_ && rearm_write(out_row_, done);
         default:
             return false;
     }
 }
 
-void FlowEngine::rearm_read(std::vector<std::uint8_t>& dest) {
-    dma_.ckpt_rearm(
-        [this, &dest](std::uint32_t i, Word w) {
-            if (w.has_unknown()) report_x_input();
-            const auto v = static_cast<std::uint32_t>(w.to_u64());
-            dest[4 * i + 0] = static_cast<std::uint8_t>(v >> 24);
-            dest[4 * i + 1] = static_cast<std::uint8_t>(v >> 16);
-            dest[4 * i + 2] = static_cast<std::uint8_t>(v >> 8);
-            dest[4 * i + 3] = static_cast<std::uint8_t>(v);
-        },
-        {}, [this] { dma_issued_ = false; });
-}
-
 void FlowEngine::issue_row_read(std::uint32_t base,
                                 std::vector<std::uint8_t>& dest) {
     dma_issued_ = true;
-    dma_.start_read(
-        base + y_ * w_, w_ / 4,
-        [this, &dest](std::uint32_t i, Word w) {
-            if (w.has_unknown()) report_x_input();
-            const auto v = static_cast<std::uint32_t>(w.to_u64());
-            dest[4 * i + 0] = static_cast<std::uint8_t>(v >> 24);
-            dest[4 * i + 1] = static_cast<std::uint8_t>(v >> 16);
-            dest[4 * i + 2] = static_cast<std::uint8_t>(v >> 8);
-            dest[4 * i + 3] = static_cast<std::uint8_t>(v);
-        },
-        [this] { dma_issued_ = false; });
+    dma_.start_read(base + y_ * w_, w_ / 4, byte_sink(dest),
+                    [this] { dma_issued_ = false; });
 }
 
 void FlowEngine::issue_row_write() {
     dma_issued_ = true;
-    dma_.start_write(
-        dst_ + y_ * w_, w_ / 4,
-        [this](std::uint32_t i) { return Word{out_row_[i]}; },
-        [this] { dma_issued_ = false; });
+    dma_.start_write(dst_ + y_ * w_, w_ / 4, word_source(out_row_),
+                     [this] { dma_issued_ = false; });
 }
 
 bool FlowEngine::work_cycle() {

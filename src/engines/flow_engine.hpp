@@ -30,17 +30,14 @@ protected:
     bool begin_job() override;
     bool work_cycle() override;
     void reset_job() override;
-    void save_job_state(StateWriter& w) const override;
-    bool restore_job_state(StateReader& r) override;
-    void ckpt_save_job(rtlsim::SnapWriter& w) const override;
-    bool ckpt_restore_job(rtlsim::SnapReader& r) override;
+    void save_job(rtlsim::SnapWriter& w) const override;
+    bool restore_job(rtlsim::SnapReader& r) override;
 
 private:
     enum class Phase { LoadCur, LoadPrev, Compute, WriteRow };
 
     void issue_row_read(std::uint32_t base, std::vector<std::uint8_t>& dest);
     void issue_row_write();
-    void rearm_read(std::vector<std::uint8_t>& dest);
 
     unsigned w_ = 0;
     unsigned h_ = 0;

@@ -6,7 +6,6 @@
 namespace autovision {
 
 using rtlsim::LVec;
-using rtlsim::Word;
 
 MatchingEngine::MatchingEngine(rtlsim::Scheduler& sch, const std::string& name,
                                rtlsim::Signal<rtlsim::Logic>& clk,
@@ -30,68 +29,7 @@ void MatchingEngine::reset_job() {
     out_.clear();
 }
 
-void MatchingEngine::save_job_state(StateWriter& w) const {
-    w.u32(w_);
-    w.u32(h_);
-    w.u32(cur_addr_);
-    w.u32(prev_addr_);
-    w.u32(dst_);
-    w.i32(search_);
-    w.u32(step_);
-    w.u32(margin_);
-    w.u32(gw_);
-    w.u32(gh_);
-    w.u8(static_cast<std::uint8_t>(phase_));
-    w.bool8(load_done_);
-    w.u32(gx_);
-    w.u32(gy_);
-    w.u32(cand_);
-    w.i32(best_dx_);
-    w.i32(best_dy_);
-    w.u32(best_cost_);
-    w.bytes(prev_);
-    w.bytes(cur_);
-    w.words(out_);
-}
-
-bool MatchingEngine::restore_job_state(StateReader& r) {
-    w_ = r.u32();
-    h_ = r.u32();
-    cur_addr_ = r.u32();
-    prev_addr_ = r.u32();
-    dst_ = r.u32();
-    search_ = r.i32();
-    step_ = r.u32();
-    margin_ = r.u32();
-    gw_ = r.u32();
-    gh_ = r.u32();
-    const std::uint8_t ph = r.u8();
-    if (ph > static_cast<std::uint8_t>(Phase::Write)) return false;
-    phase_ = static_cast<Phase>(ph);
-    load_done_ = r.bool8();
-    gx_ = r.u32();
-    gy_ = r.u32();
-    cand_ = r.u32();
-    best_dx_ = r.i32();
-    best_dy_ = r.i32();
-    best_cost_ = r.u32();
-    prev_ = r.bytes();
-    cur_ = r.bytes();
-    out_ = r.words();
-    dma_issued_ = false;
-    if (!r.ok_so_far()) return false;
-    if (w_ == 0 && h_ == 0) {
-        // Idle image: captured before any job was configured (see
-        // CensusEngine::restore_job_state).
-        return prev_.empty() && cur_.empty() && out_.empty() && gx_ == 0 &&
-               gy_ == 0;
-    }
-    return w_ > 0 && h_ > 0 && prev_.size() == std::size_t{w_} * h_ &&
-           cur_.size() == std::size_t{w_} * h_ &&
-           out_.size() == std::size_t{gw_} * gh_ && gx_ <= gw_ && gy_ <= gh_;
-}
-
-void MatchingEngine::ckpt_save_job(rtlsim::SnapWriter& w) const {
+void MatchingEngine::save_job(rtlsim::SnapWriter& w) const {
     w.u32(w_);
     w.u32(h_);
     w.u32(cur_addr_);
@@ -116,7 +54,7 @@ void MatchingEngine::ckpt_save_job(rtlsim::SnapWriter& w) const {
     w.words(out_);
 }
 
-bool MatchingEngine::ckpt_restore_job(rtlsim::SnapReader& r) {
+bool MatchingEngine::restore_job(rtlsim::SnapReader& r) {
     w_ = r.u32();
     h_ = r.u32();
     cur_addr_ = r.u32();
@@ -144,41 +82,56 @@ bool MatchingEngine::ckpt_restore_job(rtlsim::SnapReader& r) {
     if (!r.ok_so_far()) return false;
     if (dma_issued_ != dma_.busy()) return false;
     if (prev_.empty() && cur_.empty() && out_.empty()) {
-        // Between jobs: reset_job cleared the buffers but the geometry
-        // registers keep the last job's values. Only the post-reset
-        // initial state is legal with empty buffers.
-        return phase_ == Phase::LoadPrev && !dma_issued_ && !load_done_ &&
-               gx_ == 0 && gy_ == 0 && cand_ == 0;
+        // Idle, or between jobs: reset_job cleared the buffers but the
+        // geometry registers keep the last job's values. Only the
+        // post-reset initial state of a stopped engine is legal here.
+        return !busy() && phase_ == Phase::LoadPrev && !dma_issued_ &&
+               !load_done_ && gx_ == 0 && gy_ == 0 && cand_ == 0;
     }
-    if (w_ == 0 || prev_.size() != std::size_t{w_} * h_ ||
+    // Parameters begin_job could have latched (8-bit PARAM fields, the
+    // grid it derives), and indices inside them: Compute writes
+    // out_[gy_ * gw_ + gx_] and scans cand_ over a (2 * search_ + 1)^2
+    // window.
+    if (w_ == 0 || w_ % 4 != 0 || h_ == 0 || search_ < 1 || search_ > 0xFF ||
+        step_ == 0 || step_ > 0xFF || margin_ > 0xFF ||
+        gw_ != grid_points(w_) || gh_ != grid_points(h_) ||
+        prev_.size() != std::size_t{w_} * h_ ||
         cur_.size() != std::size_t{w_} * h_ ||
-        out_.size() != std::size_t{gw_} * gh_) {
+        out_.size() != std::size_t{gw_} * gh_ || gx_ > gw_ || gy_ > gh_) {
+        return false;
+    }
+    // The loads enter Compute without resetting the scan: they must hold
+    // its start.
+    const bool loading = phase_ == Phase::LoadPrev || phase_ == Phase::LoadCur;
+    if (loading && (gx_ != 0 || gy_ != 0 || cand_ != 0)) return false;
+    const unsigned span = 2 * static_cast<unsigned>(search_) + 1;
+    if (phase_ == Phase::Compute &&
+        (gx_ == gw_ || gy_ == gh_ || cand_ >= span * span)) {
         return false;
     }
     if (!dma_issued_) return true;
     // Re-arm the open burst's closures; the target follows from the phase
     // (the phase only advances after the load/write completes).
+    const auto done = [this] {
+        dma_issued_ = false;
+        load_done_ = true;
+    };
     switch (phase_) {
         case Phase::LoadPrev:
-            if (dma_.words_total() > (std::size_t{w_} * h_) / 4) return false;
-            rearm_read(prev_);
-            return true;
+            return rearm_read(prev_, done);
         case Phase::LoadCur:
-            if (dma_.words_total() > (std::size_t{w_} * h_) / 4) return false;
-            rearm_read(cur_);
-            return true;
+            return rearm_read(cur_, done);
         case Phase::Write:
-            if (dma_.words_total() > out_.size()) return false;
-            dma_.ckpt_rearm({},
-                            [this](std::uint32_t i) { return Word{out_[i]}; },
-                            [this] {
-                                dma_issued_ = false;
-                                load_done_ = true;
-                            });
-            return true;
+            return rearm_write(out_, done);
         default:
             return false;  // Compute never has a burst open
     }
+}
+
+unsigned MatchingEngine::grid_points(unsigned extent) const {
+    // Same grid formula as video::grid_points, restated independently.
+    return (extent < 2 * margin_) ? 0
+                                  : (extent - 2 * margin_ + step_ - 1) / step_;
 }
 
 bool MatchingEngine::begin_job() {
@@ -195,9 +148,8 @@ bool MatchingEngine::begin_job() {
         return false;
     }
     reset_job();
-    // Same grid formula as video::grid_points, restated independently.
-    gw_ = (w_ < 2 * margin_) ? 0 : (w_ - 2 * margin_ + step_ - 1) / step_;
-    gh_ = (h_ < 2 * margin_) ? 0 : (h_ - 2 * margin_ + step_ - 1) / step_;
+    gw_ = grid_points(w_);
+    gh_ = grid_points(h_);
     prev_.assign(std::size_t{w_} * h_, 0);
     cur_.assign(std::size_t{w_} * h_, 0);
     out_.assign(std::size_t{gw_} * gh_, 0);
@@ -207,37 +159,10 @@ bool MatchingEngine::begin_job() {
 void MatchingEngine::issue_frame_read(std::uint32_t addr,
                                       std::vector<std::uint8_t>& dest) {
     dma_issued_ = true;
-    dma_.start_read(
-        addr, (w_ * h_) / 4,
-        [this, &dest](std::uint32_t i, Word w) {
-            if (w.has_unknown()) report_x_input();
-            const auto v = static_cast<std::uint32_t>(w.to_u64());
-            dest[4 * i + 0] = static_cast<std::uint8_t>(v >> 24);
-            dest[4 * i + 1] = static_cast<std::uint8_t>(v >> 16);
-            dest[4 * i + 2] = static_cast<std::uint8_t>(v >> 8);
-            dest[4 * i + 3] = static_cast<std::uint8_t>(v);
-        },
-        [this] {
-            dma_issued_ = false;
-            load_done_ = true;
-        });
-}
-
-void MatchingEngine::rearm_read(std::vector<std::uint8_t>& dest) {
-    // Identical to the closures issue_frame_read installs.
-    dma_.ckpt_rearm(
-        [this, &dest](std::uint32_t i, Word w) {
-            if (w.has_unknown()) report_x_input();
-            const auto v = static_cast<std::uint32_t>(w.to_u64());
-            dest[4 * i + 0] = static_cast<std::uint8_t>(v >> 24);
-            dest[4 * i + 1] = static_cast<std::uint8_t>(v >> 16);
-            dest[4 * i + 2] = static_cast<std::uint8_t>(v >> 8);
-            dest[4 * i + 3] = static_cast<std::uint8_t>(v);
-        },
-        {}, [this] {
-            dma_issued_ = false;
-            load_done_ = true;
-        });
+    dma_.start_read(addr, (w_ * h_) / 4, byte_sink(dest), [this] {
+        dma_issued_ = false;
+        load_done_ = true;
+    });
 }
 
 std::uint8_t MatchingEngine::sample(const std::vector<std::uint8_t>& img,
@@ -324,13 +249,11 @@ bool MatchingEngine::work_cycle() {
             if (!load_done_) {
                 if (out_.empty()) return true;
                 dma_issued_ = true;
-                dma_.start_write(
-                    dst_, static_cast<std::uint32_t>(out_.size()),
-                    [this](std::uint32_t i) { return Word{out_[i]}; },
-                    [this] {
-                        dma_issued_ = false;
-                        load_done_ = true;
-                    });
+                dma_.start_write(dst_, static_cast<std::uint32_t>(out_.size()),
+                                 word_source(out_), [this] {
+                                     dma_issued_ = false;
+                                     load_done_ = true;
+                                 });
                 return false;
             }
             load_done_ = false;

@@ -30,16 +30,15 @@ protected:
     bool begin_job() override;
     bool work_cycle() override;
     void reset_job() override;
-    void save_job_state(StateWriter& w) const override;
-    bool restore_job_state(StateReader& r) override;
-    void ckpt_save_job(rtlsim::SnapWriter& w) const override;
-    bool ckpt_restore_job(rtlsim::SnapReader& r) override;
+    void save_job(rtlsim::SnapWriter& w) const override;
+    bool restore_job(rtlsim::SnapReader& r) override;
 
 private:
     enum class Phase { LoadPrev, LoadCur, Compute, Write };
 
     void issue_frame_read(std::uint32_t addr, std::vector<std::uint8_t>& dest);
-    void rearm_read(std::vector<std::uint8_t>& dest);
+    /// Grid points along an axis of `extent` pixels for margin_/step_.
+    [[nodiscard]] unsigned grid_points(unsigned extent) const;
     [[nodiscard]] std::uint8_t sample(const std::vector<std::uint8_t>& img,
                                       int x, int y) const;
     [[nodiscard]] unsigned cost(unsigned x, unsigned y, int dx, int dy) const;

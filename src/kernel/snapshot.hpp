@@ -1,11 +1,12 @@
 // rtlsim: byte-deterministic snapshot primitives.
 //
 // SnapWriter/SnapReader serialize kernel and module state into a flat
-// big-endian byte image — the same wire idiom as the ReSim state images
-// (recon/state.hpp), but at kernel level so the scheduler, signals and
-// clock generators can checkpoint themselves without depending on any
-// design-side library. Checkpoint orchestration (manifest, sections,
-// config hashing) lives above, in src/ckpt/.
+// big-endian byte image. They live at kernel level so the scheduler,
+// signals and clock generators can checkpoint themselves without depending
+// on any design-side library, and they are the one byte writer/reader of
+// the simulator: checkpoint sections and the ReSim GCAPTURE state images
+// (EngineBase::rm_save_state) both use them. Checkpoint orchestration
+// (manifest, sections, config hashing) lives above, in src/ckpt/.
 //
 // Determinism contract: every write is a fixed-width big-endian field or a
 // length-prefixed run, no padding, no host-order leaks — two identical

@@ -31,15 +31,19 @@ public:
 
     // --- state saving/restoration (GCAPTURE / GRESTORE) ------------------
     /// Serialize the module's architectural state, as a configuration
-    /// readback would. Returns empty when the module cannot be captured
-    /// (default: stateless; engines refuse while a bus transaction is in
-    /// flight — the quiescence design rule).
+    /// readback would, into a module-private image (the portal only stores
+    /// and replays the bytes; engines write it with rtlsim::SnapWriter and
+    /// share the job image with their checkpoint section). Returns empty
+    /// when the module cannot be captured (default: stateless; engines
+    /// refuse while a bus transaction is in flight — the quiescence design
+    /// rule).
     [[nodiscard]] virtual std::vector<std::uint8_t> rm_save_state() {
         return {};
     }
 
     /// Reinstate previously captured state; returns false when the image
     /// does not match the module (a verification failure, not a crash).
+    /// Every image the module accepts is one it can run from.
     [[nodiscard]] virtual bool rm_restore_state(
         std::span<const std::uint8_t> state) {
         (void)state;

@@ -17,7 +17,6 @@ IcapCtrl::Config icap_config(const SystemConfig& cfg) {
     ic.size_in_bytes = true;  // the modified (shared-bus) IP counts bytes
     ic.p2p_mode = (cfg.fault == Fault::kDpr4P2pIcap);
     ic.burst_words = 16;
-    ic.fifo_depth = cfg.icap_fifo_depth;
     ic.clk_div = cfg.icap_clk_div;
     return ic;
 }
@@ -275,7 +274,7 @@ std::uint64_t OpticalFlowSystem::config_hash(const SystemConfig& cfg) {
     using rtlsim::snap_hash64_u64;
     // Domain string first so the hash can never collide with a raw field
     // sequence; bump the suffix when the field list changes.
-    std::uint64_t h = snap_hash64("autovision.sysconfig.v1");
+    std::uint64_t h = snap_hash64("autovision.sysconfig.v2");
     h = snap_hash64_u64(static_cast<std::uint64_t>(cfg.method), h);
     h = snap_hash64_u64(static_cast<std::uint64_t>(cfg.wait), h);
     h = snap_hash64_u64(cfg.delay_loops, h);
@@ -289,7 +288,6 @@ std::uint64_t OpticalFlowSystem::config_hash(const SystemConfig& cfg) {
     h = snap_hash64_u64(cfg.simb_payload_words, h);
     h = snap_hash64_u64(static_cast<std::uint64_t>(cfg.injection), h);
     h = snap_hash64_u64(cfg.icap_clk_div, h);
-    h = snap_hash64_u64(cfg.icap_fifo_depth, h);
     h = snap_hash64_u64(cfg.clk_period, h);
     h = snap_hash64_u64(cfg.trace_events ? 1 : 0, h);
     h = snap_hash64_u64(cfg.trace_capacity, h);

@@ -97,7 +97,6 @@ struct SystemConfig {
     Injection injection = Injection::kX;
 
     unsigned icap_clk_div = 4;    ///< modified (slow) configuration clock
-    unsigned icap_fifo_depth = 32;
     rtlsim::Time clk_period = 10 * rtlsim::NS;  ///< 100 MHz system clock
     bool profiling = false;       ///< per-process wall-clock accounting
 

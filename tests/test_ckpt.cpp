@@ -227,7 +227,7 @@ TEST(Ckpt, WarmEqualsColdBetweenEngineJobs) {
     // After a job completes the firmware reset-pulses the engine:
     // reset_job() clears the line buffers but w_/h_ keep the last job's
     // geometry. That cleared-but-configured state used to be rejected by
-    // the engines' ckpt_restore_job geometry check ("cie section corrupt"
+    // the engines' checkpoint geometry check ("cie section corrupt"
     // on any snapshot taken between jobs) — regression for that fix.
     const SystemConfig cfg = small_config();
     DirectRun warm(cfg);

@@ -7,7 +7,7 @@ building the simulator. Layout (all integers big-endian, see
 src/ckpt/checkpoint.hpp and DESIGN.md §11):
 
     char[8]  magic "AVCKPT\\x00\\x01"
-    u32      format version (currently 1)
+    u32      format version (FORMAT_VERSION; any other is rejected)
     u64      config hash (FNV-1a over the elaboration config; 0 = unchecked)
     u64      sim time (ns) at the save point
     u32      section count
@@ -36,6 +36,9 @@ import struct
 import sys
 
 MAGIC = b"AVCKPT\x00\x01"
+# ckpt::kFormatVersion. Section payloads change with it (DESIGN.md §11), so
+# a blob of another version is rejected rather than dumped as if it parsed.
+FORMAT_VERSION = 2
 
 
 class Corrupt(Exception):
@@ -101,8 +104,12 @@ def inspect(data: bytes, hex_head: int) -> dict:
     r = Reader(data)
     if r.take(8) != MAGIC:
         raise Corrupt("not a checkpoint (bad magic)")
+    version = r.u32()
+    if version != FORMAT_VERSION:
+        raise Corrupt(f"unsupported format version {version} "
+                      f"(this tool reads version {FORMAT_VERSION})")
     doc = {
-        "format_version": r.u32(),
+        "format_version": version,
         "config_hash": f"0x{r.u64():016x}",
         "sim_time_ns": r.u64(),
         "file_bytes": len(data),
